@@ -86,7 +86,9 @@ fn atomic_add_f64(cell: &AtomicU64, add: f64) {
 }
 
 /// Rayon-parallel Brandes betweenness centrality.  Produces the same scores
-/// as [`bc`] up to floating-point reassociation.
+/// as [`bc`] up to floating-point reassociation.  Every phase reads
+/// adjacency with one [`GraphView::for_each_adjacency`] call per chunk of
+/// the current level.
 pub fn bc_parallel(view: &impl GraphView, source: VertexId) -> Vec<f64> {
     let n = view.num_vertices();
     if n == 0 || source as usize >= n {
@@ -102,27 +104,31 @@ pub fn bc_parallel(view: &impl GraphView, source: VertexId) -> Vec<f64> {
         let frontier = levels.last().unwrap();
         let d = levels.len() as u64;
         // Discover the next level (claim via CAS on depth).
-        let next: Vec<VertexId> = frontier
-            .par_iter()
-            .flat_map_iter(|&v| {
+        let next: Vec<VertexId> = ranges(frontier.len())
+            .into_par_iter()
+            .flat_map_iter(|(lo, hi)| {
                 let mut claimed = Vec::new();
-                view.for_each_neighbor(v, &mut |u| {
-                    if depth[u as usize]
-                        .compare_exchange(u64::MAX, d, Ordering::Relaxed, Ordering::Relaxed)
-                        .is_ok()
-                    {
-                        claimed.push(u);
+                view.for_each_adjacency(frontier[lo..hi].into(), &mut |_, nbrs| {
+                    for &u in nbrs {
+                        if depth[u as usize]
+                            .compare_exchange(u64::MAX, d, Ordering::Relaxed, Ordering::Relaxed)
+                            .is_ok()
+                        {
+                            claimed.push(u);
+                        }
                     }
                 });
-                claimed.into_iter()
+                claimed
             })
             .collect();
         // Accumulate path counts into the new level.
-        frontier.par_iter().for_each(|&v| {
-            let sv = f64::from_bits(sigma[v as usize].load(Ordering::Relaxed));
-            view.for_each_neighbor(v, &mut |u| {
-                if depth[u as usize].load(Ordering::Relaxed) == d {
-                    atomic_add_f64(&sigma[u as usize], sv);
+        ranges(frontier.len()).into_par_iter().for_each(|(lo, hi)| {
+            view.for_each_adjacency(frontier[lo..hi].into(), &mut |v, nbrs| {
+                let sv = f64::from_bits(sigma[v as usize].load(Ordering::Relaxed));
+                for &u in nbrs {
+                    if depth[u as usize].load(Ordering::Relaxed) == d {
+                        atomic_add_f64(&sigma[u as usize], sv);
+                    }
                 }
             });
         });
@@ -136,24 +142,26 @@ pub fn bc_parallel(view: &impl GraphView, source: VertexId) -> Vec<f64> {
     let centrality: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0f64.to_bits())).collect();
     for (li, level) in levels.iter().enumerate().rev() {
         let d = li as u64;
-        level.par_iter().for_each(|&v| {
-            let vi = v as usize;
-            let sv = f64::from_bits(sigma[vi].load(Ordering::Relaxed));
-            let mut acc = 0.0;
-            view.for_each_neighbor(v, &mut |u| {
-                let ui = u as usize;
-                if depth[ui].load(Ordering::Relaxed) == d + 1 {
-                    let su = f64::from_bits(sigma[ui].load(Ordering::Relaxed));
-                    if su > 0.0 {
-                        let du = f64::from_bits(delta[ui].load(Ordering::Relaxed));
-                        acc += sv / su * (1.0 + du);
+        ranges(level.len()).into_par_iter().for_each(|(lo, hi)| {
+            view.for_each_adjacency(level[lo..hi].into(), &mut |v, nbrs| {
+                let vi = v as usize;
+                let sv = f64::from_bits(sigma[vi].load(Ordering::Relaxed));
+                let mut acc = 0.0;
+                for &u in nbrs {
+                    let ui = u as usize;
+                    if depth[ui].load(Ordering::Relaxed) == d + 1 {
+                        let su = f64::from_bits(sigma[ui].load(Ordering::Relaxed));
+                        if su > 0.0 {
+                            let du = f64::from_bits(delta[ui].load(Ordering::Relaxed));
+                            acc += sv / su * (1.0 + du);
+                        }
                     }
                 }
+                delta[vi].store(acc.to_bits(), Ordering::Relaxed);
+                if v != source {
+                    atomic_add_f64(&centrality[vi], acc);
+                }
             });
-            delta[vi].store(acc.to_bits(), Ordering::Relaxed);
-            if v != source {
-                atomic_add_f64(&centrality[vi], acc);
-            }
         });
     }
     centrality

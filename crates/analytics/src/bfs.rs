@@ -83,6 +83,9 @@ pub fn bfs(view: &impl GraphView, source: VertexId) -> Vec<i64> {
 /// Rayon-parallel direction-optimizing BFS.  Visits the same set of vertices
 /// as [`bfs`] with the same distances; parent choices may differ when a
 /// vertex is reachable from several frontier vertices in the same level.
+/// Both steps read adjacency with one [`GraphView::for_each_adjacency`]
+/// call per chunk of the frontier (top-down) or of the unvisited vertices
+/// (bottom-up).
 pub fn bfs_parallel(view: &impl GraphView, source: VertexId) -> Vec<i64> {
     let n = view.num_vertices();
     if n == 0 || source as usize >= n {
@@ -104,43 +107,44 @@ pub fn bfs_parallel(view: &impl GraphView, source: VertexId) -> Vec<i64> {
             for &v in &frontier {
                 in_frontier[v as usize] = true;
             }
-            (0..n as u64)
+            ranges(n)
                 .into_par_iter()
-                .filter_map(|v| {
-                    if parent[v as usize].load(Ordering::Relaxed) != UNREACHED {
-                        return None;
-                    }
-                    let mut found = None;
-                    view.for_each_neighbor(v, &mut |u| {
-                        if found.is_none() && in_frontier[u as usize] {
-                            found = Some(u);
+                .flat_map_iter(|(lo, hi)| {
+                    // Only unvisited vertices read their adjacency.
+                    let unvisited: Vec<VertexId> = (lo as u64..hi as u64)
+                        .filter(|&v| parent[v as usize].load(Ordering::Relaxed) == UNREACHED)
+                        .collect();
+                    let mut claimed = Vec::new();
+                    view.for_each_adjacency(unvisited[..].into(), &mut |v, nbrs| {
+                        if let Some(&u) = nbrs.iter().find(|&&u| in_frontier[u as usize]) {
+                            parent[v as usize].store(u as i64, Ordering::Relaxed);
+                            claimed.push(v);
                         }
                     });
-                    found.map(|u| {
-                        parent[v as usize].store(u as i64, Ordering::Relaxed);
-                        v
-                    })
+                    claimed
                 })
                 .collect()
         } else {
-            frontier
-                .par_iter()
-                .flat_map_iter(|&v| {
+            ranges(frontier.len())
+                .into_par_iter()
+                .flat_map_iter(|(lo, hi)| {
                     let mut claimed = Vec::new();
-                    view.for_each_neighbor(v, &mut |u| {
-                        if parent[u as usize]
-                            .compare_exchange(
-                                UNREACHED,
-                                v as i64,
-                                Ordering::Relaxed,
-                                Ordering::Relaxed,
-                            )
-                            .is_ok()
-                        {
-                            claimed.push(u);
+                    view.for_each_adjacency(frontier[lo..hi].into(), &mut |v, nbrs| {
+                        for &u in nbrs {
+                            if parent[u as usize]
+                                .compare_exchange(
+                                    UNREACHED,
+                                    v as i64,
+                                    Ordering::Relaxed,
+                                    Ordering::Relaxed,
+                                )
+                                .is_ok()
+                            {
+                                claimed.push(u);
+                            }
                         }
                     });
-                    claimed.into_iter()
+                    claimed
                 })
                 .collect()
         };

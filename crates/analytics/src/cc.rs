@@ -51,38 +51,42 @@ pub fn cc(view: &impl GraphView) -> Vec<u64> {
 }
 
 /// Rayon-parallel Shiloach–Vishkin connected components.  Produces the same
-/// labelling as [`cc`].
+/// labelling as [`cc`].  The hooking pass reads adjacency with one
+/// [`GraphView::for_each_adjacency`] call per vertex chunk.
 pub fn cc_parallel(view: &impl GraphView) -> Vec<u64> {
     let n = view.num_vertices();
     if n == 0 {
         return Vec::new();
     }
     let comp: Vec<AtomicU64> = (0..n as u64).map(AtomicU64::new).collect();
+    let chunk_ranges = ranges(n);
     loop {
-        let changed: bool = (0..n as u64)
-            .into_par_iter()
-            .map(|v| {
+        let changed: bool = chunk_ranges
+            .par_iter()
+            .map(|&(lo, hi)| {
                 let mut local_change = false;
-                view.for_each_neighbor(v, &mut |u| {
-                    // Monotonically lower the larger label towards the
-                    // smaller one; races only ever lower labels further.
-                    loop {
-                        let cv = comp[v as usize].load(Ordering::Relaxed);
-                        let cu = comp[u as usize].load(Ordering::Relaxed);
-                        if cv == cu {
-                            break;
-                        }
-                        let (hi_idx, lo) = if cv > cu { (v, cu) } else { (u, cv) };
-                        let hi = comp[hi_idx as usize].load(Ordering::Relaxed);
-                        if hi <= lo {
-                            break;
-                        }
-                        if comp[hi_idx as usize]
-                            .compare_exchange(hi, lo, Ordering::Relaxed, Ordering::Relaxed)
-                            .is_ok()
-                        {
-                            local_change = true;
-                            break;
+                view.for_each_adjacency((lo as u64..hi as u64).into(), &mut |v, nbrs| {
+                    for &u in nbrs {
+                        // Monotonically lower the larger label towards the
+                        // smaller one; races only ever lower labels further.
+                        loop {
+                            let cv = comp[v as usize].load(Ordering::Relaxed);
+                            let cu = comp[u as usize].load(Ordering::Relaxed);
+                            if cv == cu {
+                                break;
+                            }
+                            let (hi_idx, lo) = if cv > cu { (v, cu) } else { (u, cv) };
+                            let hi = comp[hi_idx as usize].load(Ordering::Relaxed);
+                            if hi <= lo {
+                                break;
+                            }
+                            if comp[hi_idx as usize]
+                                .compare_exchange(hi, lo, Ordering::Relaxed, Ordering::Relaxed)
+                                .is_ok()
+                            {
+                                local_change = true;
+                                break;
+                            }
                         }
                     }
                 });

@@ -39,7 +39,8 @@ pub fn pagerank(view: &impl GraphView, iterations: usize) -> Vec<f64> {
 
 /// Rayon-parallel PageRank; numerically identical to [`pagerank`] (the pull
 /// model writes each vertex's rank exactly once per iteration, so no atomics
-/// are needed).
+/// are needed).  The pull pass reads adjacency with one
+/// [`GraphView::for_each_adjacency`] call per vertex chunk.
 pub fn pagerank_parallel(view: &impl GraphView, iterations: usize) -> Vec<f64> {
     let n = view.num_vertices();
     if n == 0 {
@@ -48,17 +49,23 @@ pub fn pagerank_parallel(view: &impl GraphView, iterations: usize) -> Vec<f64> {
     let base = (1.0 - DAMPING) / n as f64;
     let mut ranks = vec![1.0 / n as f64; n];
     let mut contrib = vec![0.0f64; n];
+    let chunk_ranges = ranges(n);
     for _ in 0..iterations {
         contrib.par_iter_mut().enumerate().for_each(|(v, c)| {
             let d = view.degree(v as u64);
             *c = if d == 0 { 0.0 } else { ranks[v] / d as f64 };
         });
-        ranks.par_iter_mut().enumerate().for_each(|(v, r)| {
-            let mut sum = 0.0;
-            view.for_each_neighbor(v as u64, &mut |u| {
-                sum += contrib[u as usize];
+        let contrib = &contrib;
+        let dst = SendPtr(ranks.as_mut_ptr());
+        chunk_ranges.par_iter().for_each(|&(lo, hi)| {
+            view.for_each_adjacency((lo as u64..hi as u64).into(), &mut |v, nbrs| {
+                let mut sum = 0.0;
+                for &u in nbrs {
+                    sum += contrib[u as usize];
+                }
+                // Chunks are disjoint: each index is written once.
+                unsafe { *dst.get().add(v as usize) = base + DAMPING * sum };
             });
-            *r = base + DAMPING * sum;
         });
     }
     ranks

@@ -1,7 +1,9 @@
 //! Uniform wrappers and helpers shared by every experiment.
 
 use baselines::{Bal, GraphOneFd, Llama, PmCsr, SystemKind, XpGraph};
-use dgap::{Dgap, DgapConfig, DgapVariant, DynamicGraph, GraphView, SnapshotSource, VertexId};
+use dgap::{
+    Dgap, DgapConfig, DgapVariant, DynamicGraph, GraphView, SnapshotSource, VertexId, Vertices,
+};
 use pmem::{PmemConfig, PmemPool};
 use std::sync::Arc;
 use std::time::Instant;
@@ -342,6 +344,17 @@ impl GraphView for AnyView<'_> {
             AnyView::GraphOne(x) => x.for_each_neighbor(v, f),
             AnyView::XpGraph(x) => x.for_each_neighbor(v, f),
             AnyView::Csr(x) => x.for_each_neighbor(v, f),
+        }
+    }
+
+    fn for_each_adjacency(&self, vertices: Vertices<'_>, f: &mut dyn FnMut(VertexId, &[VertexId])) {
+        match self {
+            AnyView::Dgap(x) => x.for_each_adjacency(vertices, f),
+            AnyView::Bal(x) => x.for_each_adjacency(vertices, f),
+            AnyView::Llama(x) => x.for_each_adjacency(vertices, f),
+            AnyView::GraphOne(x) => x.for_each_adjacency(vertices, f),
+            AnyView::XpGraph(x) => x.for_each_adjacency(vertices, f),
+            AnyView::Csr(x) => x.for_each_adjacency(vertices, f),
         }
     }
 }

@@ -9,7 +9,7 @@
 //! when to move data.
 
 use crate::slot::{Slot, SLOT_BYTES};
-use pmem::{PmemOffset, PmemPool};
+use pmem::{PmemOffset, PmemPool, ReadMeter};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -120,6 +120,11 @@ impl EdgeArray {
         let mut out = vec![0u64; n];
         self.pool.read_u64_slice(self.slot_offset(start), &mut out);
         out
+    }
+
+    /// Read `out.len()` raw slot words starting at `start` through `meter`.
+    pub fn read_raw_metered(&self, meter: &mut ReadMeter<'_>, start: u64, out: &mut [u64]) {
+        meter.read_u64_slice(self.slot_offset(start), out);
     }
 
     /// Encode `slots` into bytes suitable for a bulk region overwrite.

@@ -22,8 +22,9 @@
 //! vertex's entries are always appended to the log of the section containing
 //! its **pivot**, which lets a section merge clear its whole log safely.
 
+use crate::slot::Slot;
 use crate::traits::VertexId;
-use pmem::{crc32c, PmemOffset, PmemPool};
+use pmem::{crc32c, PmemOffset, PmemPool, ReadMeter};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -48,6 +49,33 @@ pub struct ElogEntry {
     /// Global index of the previous entry for the same source, or
     /// [`crate::vertex::NO_ELOG`].
     pub prev: u32,
+}
+
+impl ElogEntry {
+    /// The edge-array record this entry stands for.
+    pub fn slot(&self) -> Slot {
+        if self.tombstone {
+            Slot::Tombstone(self.dst)
+        } else {
+            Slot::Edge(self.dst)
+        }
+    }
+
+    /// Decode an on-PM entry; `None` for an empty slot.
+    fn decode(bytes: &[u8; ELOG_ENTRY_BYTES]) -> Option<ElogEntry> {
+        let word = |i: usize| u32::from_le_bytes(bytes[i..i + 4].try_into().unwrap());
+        let src_word = word(0);
+        if src_word == 0 {
+            return None;
+        }
+        let dst_word = word(4);
+        Some(ElogEntry {
+            src: u64::from((src_word & ID_MASK) - 1),
+            dst: u64::from((dst_word & ID_MASK) - 1),
+            tombstone: dst_word & TOMB_BIT != 0,
+            prev: word(8),
+        })
+    }
 }
 
 /// Error returned when a section's log is full.
@@ -226,39 +254,37 @@ impl EdgeLogs {
 
     /// Read the entry at `global_idx`.  Returns `None` for an empty slot.
     pub fn entry(&self, global_idx: u32) -> Option<ElogEntry> {
-        let off = self.entry_offset(global_idx);
-        let bytes = self.pool.read_vec(off, ELOG_ENTRY_BYTES);
-        let src_word = u32::from_le_bytes(bytes[0..4].try_into().unwrap());
-        if src_word == 0 {
-            return None;
-        }
-        let dst_word = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-        let prev = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-        Some(ElogEntry {
-            src: u64::from((src_word & ID_MASK) - 1),
-            dst: u64::from((dst_word & ID_MASK) - 1),
-            tombstone: dst_word & TOMB_BIT != 0,
-            prev,
-        })
+        let mut bytes = [0u8; ELOG_ENTRY_BYTES];
+        self.pool.read(self.entry_offset(global_idx), &mut bytes);
+        ElogEntry::decode(&bytes)
     }
 
     /// Collect the chain of entries for one vertex starting at `head`,
     /// oldest first (the order they were inserted).
     pub fn chain_oldest_first(&self, head: u32) -> Vec<ElogEntry> {
         let mut out = Vec::new();
+        self.read_chain(&mut self.pool.read_meter(), head, &mut out);
+        out
+    }
+
+    /// Append the chain starting at `head` to `out`, oldest first, reading
+    /// every entry through `meter` (one 16-byte read each, plus the empty
+    /// slot that ends a chain cut short).
+    pub fn read_chain(&self, meter: &mut ReadMeter<'_>, head: u32, out: &mut Vec<ElogEntry>) {
+        let from = out.len();
         let mut cur = head;
         while cur != crate::vertex::NO_ELOG {
-            match self.entry(cur) {
+            let mut bytes = [0u8; ELOG_ENTRY_BYTES];
+            meter.read(self.entry_offset(cur), &mut bytes);
+            match ElogEntry::decode(&bytes) {
                 Some(e) => {
-                    let prev = e.prev;
+                    cur = e.prev;
                     out.push(e);
-                    cur = prev;
                 }
                 None => break,
             }
         }
-        out.reverse();
-        out
+        out[from..].reverse();
     }
 
     /// Clear `section`'s log after its contents were merged into the edge

@@ -14,8 +14,9 @@
 //!
 //! # Concurrency model
 //!
-//! * A global `resize` read-write lock: every insert and every per-vertex
-//!   read holds it for reading; an edge-array resize takes it for writing.
+//! * A global `resize` read-write lock: every insert and every snapshot
+//!   read (one vertex, or a batch of them) holds it for reading; an
+//!   edge-array resize takes it for writing.
 //! * One read-write lock per PMA section.  Inserts lock the source vertex's
 //!   pivot section and the section containing its insertion point;
 //!   rebalances lock every section of their window; readers lock the
@@ -25,10 +26,12 @@
 
 use crate::config::{DgapConfig, Placement};
 use crate::edges::EdgeArray;
-use crate::elog::EdgeLogs;
+use crate::elog::{EdgeLogs, ElogEntry};
 use crate::meta::{Layout, Superblock};
 use crate::slot::Slot;
-use crate::traits::{DynamicGraph, GraphError, GraphResult, GraphView, SnapshotSource, VertexId};
+use crate::traits::{
+    DynamicGraph, GraphError, GraphResult, GraphView, SnapshotSource, VertexId, Vertices,
+};
 use crate::ulog::UndoLog;
 use crate::vertex::{VertexArray, VertexEntry, NO_ELOG, NO_START};
 use parking_lot::{Mutex, RwLock};
@@ -37,6 +40,10 @@ use pmem::tx::TxContext;
 use pmem::{PmemOffset, PmemPool};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// Optimistic attempts a snapshot read makes at locking just its span
+/// before falling back to locking every section.
+const OPTIMISTIC_READ_ATTEMPTS: usize = 8;
 
 /// Operation counters maintained by a [`Dgap`] instance.
 #[derive(Debug, Default)]
@@ -803,12 +810,7 @@ impl Dgap {
                     if e.elog_head != NO_ELOG {
                         merged_any_log = true;
                         for le in self.elogs.chain_oldest_first(e.elog_head) {
-                            let s = if le.tombstone {
-                                Slot::Tombstone(le.dst)
-                            } else {
-                                Slot::Edge(le.dst)
-                            };
-                            all.push(s.encode());
+                            all.push(le.slot().encode());
                         }
                     }
                     extents.push(Extent {
@@ -942,12 +944,7 @@ impl Dgap {
             all.extend_from_slice(words);
             if e.elog_head != NO_ELOG {
                 for le in self.elogs.chain_oldest_first(e.elog_head) {
-                    let s = if le.tombstone {
-                        Slot::Tombstone(le.dst)
-                    } else {
-                        Slot::Edge(le.dst)
-                    };
-                    all.push(s.encode());
+                    all.push(le.slot().encode());
                 }
             }
             extents.push(Extent {
@@ -1037,59 +1034,131 @@ impl Dgap {
     }
 
     /// Read up to `needed` edge records of `v`, in insertion order, into
-    /// `out` (raw, tombstones included).  Used by the snapshot.
+    /// `out` (raw, tombstones included).  The snapshot's per-vertex path.
     fn read_records(&self, v: VertexId, needed: usize, out: &mut Vec<Slot>) {
         out.clear();
         if needed == 0 {
             return;
         }
-        let mut attempts = 0usize;
-        loop {
-            attempts += 1;
-            if attempts > 10_000 {
-                return;
+        let _rg = self.resize_lock.read();
+        let locks = self.section_locks.read();
+        self.with_records_locked(&locks, v, needed, |e| {
+            let take = (e.in_array as usize).min(needed);
+            if take > 0 {
+                let raw = self.edges.read_raw(e.start + 1, take);
+                out.extend(raw.into_iter().map(Slot::decode));
             }
-            let _rg = self.resize_lock.read();
+            if take < needed && e.elog_head != NO_ELOG {
+                let chain = self.elogs.chain_oldest_first(e.elog_head);
+                out.extend(chain.iter().take(needed - take).map(ElogEntry::slot));
+            }
+        });
+    }
+
+    /// The batched read behind [`DgapSnapshot::for_each_adjacency`]: one
+    /// `resize_lock` read guard, one section-table guard and one
+    /// [`pmem::ReadMeter`] for the whole batch; per vertex, the records are
+    /// read straight from the pool image into reused buffers and resolved
+    /// into `f`'s neighbour slice.  Vertex entries are still read (and
+    /// section locks taken) per vertex: holding the vertex array's cell
+    /// table across the batch could deadlock against a rebalance updating
+    /// an entry while a writer waits to grow the table.
+    fn read_adjacency(
+        &self,
+        degrees: &[u32],
+        vertices: Vertices<'_>,
+        f: &mut dyn FnMut(VertexId, &[VertexId]),
+    ) {
+        let mut meter = self.pool.read_meter();
+        let mut words = Vec::new();
+        let mut chain = Vec::new();
+        let mut out = Vec::new();
+        let _rg = self.resize_lock.read();
+        let locks = self.section_locks.read();
+        for v in vertices.iter() {
+            out.clear();
+            let needed = degrees.get(v as usize).map_or(0, |&d| d as usize);
+            if needed > 0 {
+                self.with_records_locked(&locks, v, needed, |e| {
+                    let take = (e.in_array as usize).min(needed);
+                    if words.len() < take {
+                        words.resize(take, 0);
+                    }
+                    let words = &mut words[..take];
+                    if take > 0 {
+                        self.edges.read_raw_metered(&mut meter, e.start + 1, words);
+                    }
+                    chain.clear();
+                    if take < needed && e.elog_head != NO_ELOG {
+                        self.elogs.read_chain(&mut meter, e.elog_head, &mut chain);
+                    }
+                    let logged = chain.iter().take(needed - take).map(ElogEntry::slot);
+                    for slot in words.iter().map(|&w| Slot::decode(w)).chain(logged) {
+                        apply_record(&mut out, slot);
+                    }
+                });
+            }
+            f(v, &out);
+        }
+    }
+
+    /// Run `read` on `v`'s entry while the sections holding its first
+    /// `needed` records are read-locked, so no insert, merge or rebalance
+    /// can move or change them.  `None` when `v` was never placed.
+    ///
+    /// The caller holds `resize_lock` for reading; `locks` is the section
+    /// table.  An optimistic attempt locks the sections spanned by the
+    /// entry it read, then re-reads the entry and retries if a rebalance
+    /// moved the span meanwhile.  After [`OPTIMISTIC_READ_ATTEMPTS`] it
+    /// read-locks every section, which no writer can overlap, so the read
+    /// always completes instead of reporting an empty list.
+    fn with_records_locked<R>(
+        &self,
+        locks: &[RwLock<()>],
+        v: VertexId,
+        needed: usize,
+        read: impl FnOnce(VertexEntry) -> R,
+    ) -> Option<R> {
+        for _ in 0..OPTIMISTIC_READ_ATTEMPTS {
             let e = self.vertices.entry(v);
             if e.start == NO_START {
-                return;
+                return None;
             }
-            let cap = self.edges.capacity() as u64;
-            let first_sec = self.edges.section_of(e.start);
-            let span_end = (e.start + 1 + u64::from(e.in_array)).min(cap);
-            let last_sec = self
-                .edges
-                .section_of(span_end.saturating_sub(1).max(e.start));
-            let sections: Vec<usize> = (first_sec..=last_sec).collect();
-            let ok = self.with_sections_read(&sections, || {
-                let e2 = self.vertices.entry(v);
-                if e2.start != e.start {
-                    return false;
-                }
-                let take_from_array = (e2.in_array as usize).min(needed);
-                if take_from_array > 0 {
-                    let raw = self.edges.read_raw(e2.start + 1, take_from_array);
-                    for word in raw {
-                        out.push(Slot::decode(word));
-                    }
-                }
-                if out.len() < needed && e2.elog_head != NO_ELOG {
-                    let chain = self.elogs.chain_oldest_first(e2.elog_head);
-                    for le in chain.into_iter().take(needed - out.len()) {
-                        out.push(if le.tombstone {
-                            Slot::Tombstone(le.dst)
-                        } else {
-                            Slot::Edge(le.dst)
-                        });
-                    }
-                }
-                true
-            });
-            if ok {
-                return;
+            let (first, last) = self.record_sections(e, needed);
+            // Most spans sit in one section: its guard needs no allocation.
+            let _first = locks[first].read();
+            let _rest: Vec<_> = locks[first + 1..=last].iter().map(RwLock::read).collect();
+            let e2 = self.vertices.entry(v);
+            if e2.start == e.start && self.record_sections(e2, needed).1 <= last {
+                return Some(read(e2));
             }
-            out.clear();
         }
+        self.with_all_sections_locked(locks, v, read)
+    }
+
+    /// The fallback of [`Dgap::with_records_locked`]: run `read` on `v`'s
+    /// entry with every section read-locked, so nothing can move it.
+    fn with_all_sections_locked<R>(
+        &self,
+        locks: &[RwLock<()>],
+        v: VertexId,
+        read: impl FnOnce(VertexEntry) -> R,
+    ) -> Option<R> {
+        let _all: Vec<_> = locks.iter().map(RwLock::read).collect();
+        let e = self.vertices.entry(v);
+        (e.start != NO_START).then(|| read(e))
+    }
+
+    /// First and last section holding `e`'s pivot and its first `needed`
+    /// in-array records (the edge-log chain lives in the first section's
+    /// log).
+    fn record_sections(&self, e: VertexEntry, needed: usize) -> (usize, usize) {
+        let take = u64::from(e.in_array).min(needed as u64);
+        let end = (e.start + 1 + take).min(self.edges.capacity() as u64);
+        (
+            self.edges.section_of(e.start),
+            self.edges.section_of(end.saturating_sub(1).max(e.start)),
+        )
     }
 
     // ------------------------------------------------------------------
@@ -1289,16 +1358,22 @@ impl DgapSnapshot<'_> {
         let mut records = Vec::with_capacity(needed);
         self.graph.read_records(v, needed, &mut records);
         for slot in records {
-            match slot {
-                Slot::Edge(d) => out.push(d),
-                Slot::Tombstone(d) => {
-                    if let Some(pos) = out.iter().rposition(|&x| x == d) {
-                        out.remove(pos);
-                    }
-                }
-                _ => {}
+            apply_record(out, slot);
+        }
+    }
+}
+
+/// Fold one raw record into a resolved neighbour list: an edge appends its
+/// target, a tombstone deletes the most recent matching edge.
+fn apply_record(out: &mut Vec<VertexId>, slot: Slot) {
+    match slot {
+        Slot::Edge(d) => out.push(d),
+        Slot::Tombstone(d) => {
+            if let Some(pos) = out.iter().rposition(|&x| x == d) {
+                out.remove(pos);
             }
         }
+        _ => {}
     }
 }
 
@@ -1321,6 +1396,15 @@ impl GraphView for DgapSnapshot<'_> {
         for d in out {
             f(d);
         }
+    }
+
+    /// Batched override: one lock and meter set-up per call (see
+    /// `Dgap::read_adjacency`); neighbours identical to
+    /// [`GraphView::for_each_neighbor`], bounded by this snapshot's degree
+    /// cache.  `f` must not read from DGAP: the batch holds the resize
+    /// lock for reading.
+    fn for_each_adjacency(&self, vertices: Vertices<'_>, f: &mut dyn FnMut(VertexId, &[VertexId])) {
+        self.graph.read_adjacency(&self.degrees, vertices, f);
     }
 }
 
@@ -1453,6 +1537,118 @@ mod tests {
         assert_eq!(view2.neighbors(2), vec![7, 8, 9, 10]);
     }
 
+    /// Every `(vertex, neighbours)` callback of one batched read.
+    fn batched(view: &DgapSnapshot<'_>, vertices: Vertices<'_>) -> Vec<(VertexId, Vec<VertexId>)> {
+        let mut out = Vec::new();
+        view.for_each_adjacency(vertices, &mut |v, nbrs| out.push((v, nbrs.to_vec())));
+        out
+    }
+
+    /// Batched reads of `ids` (range and slice form) against per-vertex
+    /// reads: same neighbours, and exactly the same PM read charges.
+    fn assert_batched_matches_per_vertex(pool: &PmemPool, view: &DgapSnapshot<'_>, ids: u64) {
+        let expected: Vec<(VertexId, Vec<VertexId>)> =
+            (0..ids).map(|v| (v, view.neighbors(v))).collect();
+
+        let before = pool.stats_snapshot();
+        for v in 0..ids {
+            view.for_each_neighbor(v, &mut |_| {});
+        }
+        let per_vertex = pool.stats_snapshot().delta_since(&before);
+        let before = pool.stats_snapshot();
+        assert_eq!(batched(view, (0..ids).into()), expected, "range form");
+        let metered = pool.stats_snapshot().delta_since(&before);
+        assert_eq!(metered.logical_bytes_read, per_vertex.logical_bytes_read);
+        assert_eq!(metered.read_ops, per_vertex.read_ops);
+        assert_eq!(metered.simulated_ns, per_vertex.simulated_ns);
+        assert!(metered.simulated_ns > 0);
+
+        // Slice form: arbitrary order with repeats, one callback per entry.
+        let list: Vec<VertexId> = (0..ids).rev().chain([3, 3, ids - 1, 0]).collect();
+        let want: Vec<_> = list.iter().map(|&v| expected[v as usize].clone()).collect();
+        assert_eq!(batched(view, list[..].into()), want, "slice form");
+        assert!(batched(view, Vertices::List(&[])).is_empty());
+    }
+
+    #[test]
+    fn batched_reads_match_per_vertex_reads() {
+        // Realistic cost model, so simulated time is compared too.
+        let pool = Arc::new(PmemPool::new(PmemConfig::with_capacity(8 << 20)));
+        let g = Dgap::create(Arc::clone(&pool), DgapConfig::small_test()).unwrap();
+        // Skewed load: hubs 0..7 fill the edge logs and grow spans across
+        // sections; a few tombstones; vertex 90 makes 65..=90 addressable
+        // without placing them.
+        for i in 0..1_200u64 {
+            g.insert_edge(i % 7, (i * 13) % 64).unwrap();
+            if i % 5 == 0 {
+                g.insert_edge(8 + i % 50, i % 64).unwrap();
+            }
+        }
+        for v in 0..7u64 {
+            assert!(g.delete_edge(v, (v * 13) % 64).unwrap());
+        }
+        g.insert_edge(3, 90).unwrap();
+
+        let view = g.consistent_view();
+        let n = view.num_vertices() as u64;
+        // Writes after the snapshot: one more record per hub, into its edge
+        // log when it has one.
+        for v in 0..7u64 {
+            g.insert_edge(v, 63).unwrap();
+        }
+        let entries: Vec<VertexEntry> = (0..n).map(|v| g.vertices.entry(v)).collect();
+        let cached = |v: usize| view.degree(v as u64);
+        assert!(
+            entries
+                .iter()
+                .enumerate()
+                .any(|(v, e)| e.elog_head != NO_ELOG
+                    && (e.in_array as usize) < cached(v)
+                    && e.degree as usize > cached(v)),
+            "a snapshot read that needs part of an unmerged edge-log chain"
+        );
+        assert!(
+            entries.iter().any(|e| e.start != NO_START
+                && g.edges.section_of(e.start)
+                    != g.edges.section_of(e.start + u64::from(e.in_array))),
+            "a span crossing a section boundary"
+        );
+        assert!(
+            (0..n).any(|v| view.neighbors(v).len() < view.degree(v)),
+            "a tombstone"
+        );
+        assert_eq!(entries[90].start, NO_START, "a never-placed vertex");
+        assert_batched_matches_per_vertex(&pool, &view, n + 40);
+
+        // A vertex placed after the snapshot (the full array resizes and
+        // merges every log): beyond the view, like any out-of-range id.
+        let resizes = g.stats().resizes;
+        g.insert_edge(n + 20, 1).unwrap();
+        assert!(g.stats().resizes > resizes);
+        assert!(batched(&view, (n + 20..n + 21).into())[0].1.is_empty());
+        assert_batched_matches_per_vertex(&pool, &view, n + 40);
+    }
+
+    #[test]
+    fn all_sections_fallback_reads_the_same_entry() {
+        let g = small_graph();
+        for i in 0..600u64 {
+            g.insert_edge(i % 11, (i * 7) % 64).unwrap();
+        }
+        g.insert_edge(2, 80).unwrap();
+        let _rg = g.resize_lock.read();
+        let locks = g.section_locks.read();
+        for v in 0..90u64 {
+            let needed = g.degree(v);
+            assert_eq!(
+                g.with_all_sections_locked(&locks, v, |e| e),
+                g.with_records_locked(&locks, v, needed, |e| e),
+                "vertex {v}"
+            );
+        }
+        assert_eq!(g.with_all_sections_locked(&locks, 80, |e| e), None);
+    }
+
     #[test]
     fn snapshot_survives_concurrent_rebalances() {
         let g = small_graph();
@@ -1541,14 +1737,15 @@ mod tests {
             std::thread::spawn(move || {
                 for _ in 0..50 {
                     let view = g.consistent_view();
-                    let mut sum = 0usize;
+                    // No deletes: both read paths must return exactly the
+                    // degree-cache count of records for every vertex, never
+                    // an empty or truncated list while rebalances move spans.
                     for v in 0..64u64 {
-                        sum += view.neighbors(v).len();
+                        assert_eq!(view.neighbors(v).len(), view.degree(v), "vertex {v}");
                     }
-                    // The snapshot can never expose more records than the
-                    // total number of inserts the test issues (200 seed +
-                    // 2000 from the writer thread).
-                    assert!(sum <= 2200, "snapshot exposed {sum} records");
+                    view.for_each_adjacency((0..64).into(), &mut |v, nbrs| {
+                        assert_eq!(nbrs.len(), view.degree(v), "batched vertex {v}");
+                    });
                 }
             })
         };

@@ -59,6 +59,6 @@ pub use recovery::{RecoveredState, RecoveryKind};
 pub use slot::Slot;
 pub use traits::{
     CsrView, DynamicGraph, FrozenView, GraphError, GraphResult, GraphView, OwnedSnapshotSource,
-    ReferenceGraph, SnapshotSource, Update, VertexId,
+    ReferenceGraph, SnapshotSource, Update, VertexId, Vertices,
 };
 pub use variants::DgapVariant;

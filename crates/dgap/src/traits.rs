@@ -280,6 +280,69 @@ pub trait GraphView: Send + Sync {
         self.for_each_neighbor(v, &mut |n| out.push(n));
         out
     }
+
+    /// Batched read: invoke `f(v, neighbours)` once for every vertex of
+    /// `vertices`, in the order given (ids repeat if the list repeats them).
+    ///
+    /// The contract the parallel kernels rely on:
+    ///
+    /// * `neighbours` is exactly what [`GraphView::for_each_neighbor`]
+    ///   reports for `v`, in the same order — on degree-cache snapshots,
+    ///   the visible records among the first [`GraphView::degree`] ones, so
+    ///   edges inserted after the view was taken stay invisible;
+    /// * ids outside the view (out of range, or vertices that appeared
+    ///   after the snapshot) get one call with an empty slice;
+    /// * the slice borrows a buffer the view reuses: it is valid only
+    ///   during that callback;
+    /// * `f` must not read the same view re-entrantly — a view may hold its
+    ///   read locks for the whole batch.
+    ///
+    /// Kernels call this once per chunk of vertices (a range of a
+    /// whole-graph pass, a slice of a BFS frontier) so a view can pay its
+    /// per-read set-up once per chunk instead of once per vertex.  The
+    /// default implementation is built on [`GraphView::for_each_neighbor`].
+    fn for_each_adjacency(&self, vertices: Vertices<'_>, f: &mut dyn FnMut(VertexId, &[VertexId])) {
+        let mut buf = Vec::new();
+        for v in vertices.iter() {
+            buf.clear();
+            self.for_each_neighbor(v, &mut |n| buf.push(n));
+            f(v, &buf);
+        }
+    }
+}
+
+/// The vertices one [`GraphView::for_each_adjacency`] call visits: a
+/// contiguous id range (a chunk of a whole-graph pass) or an explicit list
+/// (a chunk of a frontier).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Vertices<'a> {
+    /// Every id in the range, ascending.
+    Range(std::ops::Range<VertexId>),
+    /// The listed ids, in list order.
+    List(&'a [VertexId]),
+}
+
+impl Vertices<'_> {
+    /// The ids in visiting order.
+    pub fn iter(&self) -> impl Iterator<Item = VertexId> + '_ {
+        let (range, list) = match self {
+            Vertices::Range(r) => (r.clone(), &[][..]),
+            Vertices::List(l) => (0..0, *l),
+        };
+        range.chain(list.iter().copied())
+    }
+}
+
+impl From<std::ops::Range<VertexId>> for Vertices<'_> {
+    fn from(r: std::ops::Range<VertexId>) -> Self {
+        Vertices::Range(r)
+    }
+}
+
+impl<'a> From<&'a [VertexId]> for Vertices<'a> {
+    fn from(l: &'a [VertexId]) -> Self {
+        Vertices::List(l)
+    }
 }
 
 /// Views whose adjacency lives in flat CSR arrays expose it here, so the
@@ -349,6 +412,9 @@ impl<T: GraphView + ?Sized> GraphView for &T {
     fn neighbors(&self, v: VertexId) -> Vec<VertexId> {
         (**self).neighbors(v)
     }
+    fn for_each_adjacency(&self, vertices: Vertices<'_>, f: &mut dyn FnMut(VertexId, &[VertexId])) {
+        (**self).for_each_adjacency(vertices, f);
+    }
 }
 
 impl<T: GraphView + ?Sized> GraphView for std::sync::Arc<T> {
@@ -366,6 +432,9 @@ impl<T: GraphView + ?Sized> GraphView for std::sync::Arc<T> {
     }
     fn neighbors(&self, v: VertexId) -> Vec<VertexId> {
         (**self).neighbors(v)
+    }
+    fn for_each_adjacency(&self, vertices: Vertices<'_>, f: &mut dyn FnMut(VertexId, &[VertexId])) {
+        (**self).for_each_adjacency(vertices, f);
     }
 }
 
@@ -684,6 +753,27 @@ mod tests {
         assert_eq!(g.degree(0), 2);
         assert_eq!(g.neighbors(0), vec![1, 2]);
         assert_eq!(g.neighbors(1), Vec::<VertexId>::new());
+    }
+
+    #[test]
+    fn default_batched_read_calls_back_once_per_listed_vertex() {
+        let mut g = ReferenceGraph::new(3);
+        g.add_edge(0, 1);
+        g.add_edge(0, 2);
+        g.add_edge(2, 0);
+        let batch = |vertices: Vertices<'_>| {
+            let mut got = Vec::new();
+            g.for_each_adjacency(vertices, &mut |v, nbrs| got.push((v, nbrs.to_vec())));
+            got
+        };
+        let per_vertex = |ids: &[VertexId]| -> Vec<(VertexId, Vec<VertexId>)> {
+            ids.iter().map(|&v| (v, g.neighbors(v))).collect()
+        };
+        // Out-of-range ids get an empty slice.
+        assert_eq!(batch((0..5).into()), per_vertex(&[0, 1, 2, 3, 4]));
+        let list = [2, 0, 2, 9];
+        assert_eq!(batch(list[..].into()), per_vertex(&list));
+        assert!(batch((1..1).into()).is_empty());
     }
 
     #[test]

@@ -30,6 +30,17 @@
 //!   allocation and ordering overheads that make it expensive — it is the
 //!   baseline DGAP's per-thread undo log is designed to beat.
 //!
+//! ## Batched reads
+//!
+//! Every access updates the pool's shared [`PmemStats`] atomics.  A reader
+//! issuing many small reads (a graph snapshot scanning a chunk of
+//! adjacency lists) can instead open a [`ReadMeter`] with
+//! [`PmemPool::read_meter`]: reads through it are charged exactly as
+//! [`PmemPool::read`] charges them — bytes, one op per non-empty read, and
+//! simulated time per touched cache line — but the totals are added to the
+//! shared counters once, when the meter drops.  Device-cost figures are
+//! therefore identical whichever way the reads were issued.
+//!
 //! ## Addressing model
 //!
 //! Like PMDK, persistent data structures never store raw pointers.  All
@@ -67,7 +78,9 @@ pub mod tx;
 pub use config::{AdrMode, CostModel, Media, PmemConfig, CACHE_LINE, XPLINE};
 pub use crc::{crc32c, Crc32c};
 pub use error::{PmemError, Result};
-pub use pool::{PmemPool, RootId, CRASH_DROP_FLUSHED, CRASH_FAILPOINT_MARKER, CRASH_KEEP_FLUSHED};
+pub use pool::{
+    PmemPool, ReadMeter, RootId, CRASH_DROP_FLUSHED, CRASH_FAILPOINT_MARKER, CRASH_KEEP_FLUSHED,
+};
 pub use stats::{PmemStats, StatsSnapshot};
 
 /// A byte offset inside a [`PmemPool`].

@@ -500,23 +500,28 @@ impl PmemPool {
         }
     }
 
+    /// Simulated nanoseconds one read of `len > 0` bytes at `offset` costs:
+    /// every cache line it touches, at the medium's per-line read latency.
+    #[inline]
+    fn read_ns(&self, offset: PmemOffset, len: usize) -> u64 {
+        let (first, last) = Self::lines(offset, len);
+        let per_line = match self.config.media {
+            Media::Dram => self.config.cost.dram_read_line_ns,
+            Media::Pmem => self.config.cost.pm_read_line_ns,
+        };
+        (last - first + 1) * per_line
+    }
+
     #[inline]
     fn charge_read(&self, offset: PmemOffset, len: usize) {
         if len == 0 {
             return;
         }
-        let (first, last) = Self::lines(offset, len);
-        let nlines = last - first + 1;
-        let cost = &self.config.cost;
         self.stats
             .logical_bytes_read
             .fetch_add(len as u64, Ordering::Relaxed);
         self.stats.read_ops.fetch_add(1, Ordering::Relaxed);
-        let per_line = match self.config.media {
-            Media::Dram => cost.dram_read_line_ns,
-            Media::Pmem => cost.pm_read_line_ns,
-        };
-        self.stats.charge_ns(nlines * per_line);
+        self.stats.charge_ns(self.read_ns(offset, len));
     }
 
     // ------------------------------------------------------------------
@@ -573,6 +578,18 @@ impl PmemPool {
         self.check_bounds(offset, dst.len());
         self.work.read(offset as usize, dst);
         self.charge_read(offset, dst.len());
+    }
+
+    /// Start a batch of reads whose statistics are accumulated locally and
+    /// published to [`PmemPool::stats`] once, when the meter is dropped
+    /// (see [`ReadMeter`]).
+    pub fn read_meter(&self) -> ReadMeter<'_> {
+        ReadMeter {
+            pool: self,
+            bytes: 0,
+            ops: 0,
+            ns: 0,
+        }
     }
 
     /// Read `len` bytes at `offset` into a fresh vector.
@@ -872,6 +889,69 @@ impl PmemPool {
         *pool.alloc_cursor.lock() = cursor.max(HEADER_SIZE);
         pool.stats.reset();
         Ok(pool)
+    }
+}
+
+/// A batch of reads charged to a pool's statistics in one update.
+///
+/// Each read through the meter copies from the working image and costs
+/// exactly what the same call on [`PmemPool::read`] costs — one read op,
+/// its bytes, and its cache lines at the medium's read latency; zero-length
+/// reads cost nothing — but the three counters (`logical_bytes_read`,
+/// `read_ops`, `simulated_ns`) accumulate in the meter and reach the shared
+/// [`PmemStats`] atomics only when it is dropped.  Readers that issue many
+/// small reads from several threads (a snapshot scanning a chunk of
+/// vertices) thus stop contending on the counters, while every figure
+/// derived from them stays identical.  Bounds are checked per read, with
+/// the same panic as [`PmemPool::read`].
+pub struct ReadMeter<'p> {
+    pool: &'p PmemPool,
+    bytes: u64,
+    ops: u64,
+    ns: u64,
+}
+
+impl ReadMeter<'_> {
+    /// Read `dst.len()` bytes starting at `offset` into `dst`.
+    pub fn read(&mut self, offset: PmemOffset, dst: &mut [u8]) {
+        self.pool.check_bounds(offset, dst.len());
+        self.pool.work.read(offset as usize, dst);
+        if !dst.is_empty() {
+            self.bytes += dst.len() as u64;
+            self.ops += 1;
+            self.ns += self.pool.read_ns(offset, dst.len());
+        }
+    }
+
+    /// Read `out.len()` little-endian `u64`s starting at `offset`, charged
+    /// as one read (like [`PmemPool::read_u64_slice`]).
+    pub fn read_u64_slice(&mut self, offset: PmemOffset, out: &mut [u64]) {
+        // SAFETY: any byte pattern is a valid `u64`, and `u8` has no
+        // alignment requirement, so the buffer may be filled as bytes.
+        let bytes = unsafe {
+            std::slice::from_raw_parts_mut(
+                out.as_mut_ptr().cast::<u8>(),
+                std::mem::size_of_val(out),
+            )
+        };
+        self.read(offset, bytes);
+        for word in out.iter_mut() {
+            *word = u64::from_le(*word);
+        }
+    }
+}
+
+impl Drop for ReadMeter<'_> {
+    fn drop(&mut self) {
+        if self.ops == 0 {
+            return;
+        }
+        let stats = &self.pool.stats;
+        stats
+            .logical_bytes_read
+            .fetch_add(self.bytes, Ordering::Relaxed);
+        stats.read_ops.fetch_add(self.ops, Ordering::Relaxed);
+        stats.charge_ns(self.ns);
     }
 }
 
@@ -1260,6 +1340,85 @@ mod tests {
             for i in 0..8u64 {
                 assert_eq!(p.read_u64(off + t * 8 * 64 + i * 64), t * 100 + i);
             }
+        }
+    }
+
+    /// Reads relative to one allocation: line-aligned, straddling a line
+    /// boundary, zero-length, multi-line, and the last bytes of a line.
+    const METER_READS: [(u64, usize); 7] = [
+        (0, 8),
+        (60, 8),
+        (128, 0),
+        (200, 300),
+        (1000, 16),
+        (63, 2),
+        (512, 0),
+    ];
+
+    fn meter_matches_plain_reads(config: PmemConfig) {
+        let plain = PmemPool::new(config.clone());
+        let metered = PmemPool::new(config);
+        let off = plain.alloc(2048, 64).unwrap();
+        assert_eq!(metered.alloc(2048, 64).unwrap(), off);
+        let data: Vec<u8> = (0..2048u32).map(|i| (i * 7 + 3) as u8).collect();
+        plain.write(off, &data);
+        metered.write(off, &data);
+
+        let p0 = plain.stats_snapshot();
+        for &(at, len) in &METER_READS {
+            plain.read(off + at, &mut vec![0u8; len]);
+        }
+        let mut words = [0u64; 5];
+        plain.read_u64_slice(off + 24, &mut words);
+        let want = plain.stats_snapshot().delta_since(&p0);
+
+        let m0 = metered.stats_snapshot();
+        {
+            let mut meter = metered.read_meter();
+            for &(at, len) in &METER_READS {
+                let mut buf = vec![0u8; len];
+                meter.read(off + at, &mut buf);
+                assert_eq!(buf, data[at as usize..at as usize + len]);
+            }
+            let mut got = [0u64; 5];
+            meter.read_u64_slice(off + 24, &mut got);
+            assert_eq!(got, words);
+            // Nothing reaches the shared counters mid-batch.
+            assert_eq!(metered.stats_snapshot(), m0);
+        }
+        let got = metered.stats_snapshot().delta_since(&m0);
+        assert_eq!(got.logical_bytes_read, want.logical_bytes_read);
+        assert_eq!(got.read_ops, want.read_ops);
+        assert_eq!(got.simulated_ns, want.simulated_ns);
+        assert_eq!(want.read_ops, 6, "zero-length reads are free");
+        assert!(want.simulated_ns > 0);
+    }
+
+    #[test]
+    fn read_meter_charges_exactly_what_plain_reads_charge_on_pmem() {
+        meter_matches_plain_reads(PmemConfig::with_capacity(1 << 20));
+    }
+
+    #[test]
+    fn read_meter_charges_exactly_what_plain_reads_charge_on_dram() {
+        meter_matches_plain_reads(PmemConfig::dram_with_capacity(1 << 20));
+    }
+
+    #[test]
+    fn read_meter_panics_like_read_out_of_bounds() {
+        fn panic_message(f: impl FnOnce()) -> String {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_err();
+            err.downcast_ref::<String>()
+                .cloned()
+                .expect("formatted panic")
+        }
+        let p = test_pool();
+        let end = p.capacity() as u64;
+        for (at, len) in [(end - 4, 8usize), (end + 1, 0), (u64::MAX, 1)] {
+            let plain = panic_message(|| p.read(at, &mut vec![0u8; len]));
+            let metered = panic_message(|| p.read_meter().read(at, &mut vec![0u8; len]));
+            assert_eq!(metered, plain);
+            assert!(plain.contains("out of bounds"), "{plain}");
         }
     }
 }

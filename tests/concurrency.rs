@@ -1,12 +1,15 @@
 //! Concurrency integration tests: multiple writer threads and concurrent
 //! analysis tasks against one DGAP instance (the paper's execution model).
 
-use analytics::{cc, pagerank};
-use dgap::{Dgap, DgapConfig, DynamicGraph, GraphView};
+use analytics::{
+    bc_parallel, bfs_parallel, cc, cc_parallel, pagerank, pagerank_parallel, with_threads,
+};
+use dgap::{Dgap, DgapConfig, DgapSnapshot, DynamicGraph, GraphView, VertexId, Vertices};
 use dgap_integration_tests::random_edges;
 use pmem::{PmemConfig, PmemPool};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn big_pool() -> Arc<PmemPool> {
     Arc::new(PmemPool::new(
@@ -147,4 +150,111 @@ fn writers_and_shutdown_serialise_cleanly() {
     });
     g.shutdown().unwrap();
     assert_eq!(DynamicGraph::num_edges(&*g), 4_000);
+}
+
+/// A DGAP snapshot that checks every batched neighbour list the kernels
+/// receive against the snapshot's degree cache.  Exact equality holds
+/// because the streams below never delete.
+struct DegreeChecked<'g>(DgapSnapshot<'g>);
+
+impl GraphView for DegreeChecked<'_> {
+    fn num_vertices(&self) -> usize {
+        self.0.num_vertices()
+    }
+    fn num_edges(&self) -> usize {
+        self.0.num_edges()
+    }
+    fn degree(&self, v: VertexId) -> usize {
+        self.0.degree(v)
+    }
+    fn for_each_neighbor(&self, v: VertexId, f: &mut dyn FnMut(VertexId)) {
+        self.0.for_each_neighbor(v, f);
+    }
+    fn for_each_adjacency(&self, vertices: Vertices<'_>, f: &mut dyn FnMut(VertexId, &[VertexId])) {
+        self.0.for_each_adjacency(vertices, &mut |v, nbrs| {
+            assert_eq!(nbrs.len(), self.0.degree(v), "batched list of vertex {v}");
+            f(v, nbrs);
+        });
+    }
+}
+
+/// Two writers whose source ids climb far past the initial vertex range
+/// (growing the vertex array, placing pivots, rebalancing and resizing)
+/// while two readers run the four parallel kernels on fresh snapshots.
+fn parallel_kernels_against_growing_writers() {
+    let nv = 64u64;
+    let g = Dgap::create(
+        big_pool(),
+        DgapConfig::for_graph(nv as usize, 1_000).writer_threads(2),
+    )
+    .unwrap();
+    for (s, d) in random_edges(nv, 500, 11) {
+        g.insert_edge(s, d).unwrap();
+    }
+    let stop = AtomicBool::new(false);
+    let snapshots = std::thread::scope(|scope| {
+        let writers: Vec<_> = (0..2u64)
+            .map(|t| {
+                let g = &g;
+                scope.spawn(move || {
+                    for (i, (s, d)) in random_edges(nv, 6_000, 0x77 + t).into_iter().enumerate() {
+                        g.insert_edge(s + i as u64 / 64, d).unwrap();
+                    }
+                })
+            })
+            .collect();
+        let readers: Vec<_> = (0..2)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut taken = 0usize;
+                    while taken == 0 || !stop.load(Ordering::Acquire) {
+                        let view = DegreeChecked(g.consistent_view());
+                        let n = view.num_vertices();
+                        with_threads(2, || {
+                            assert!(pagerank_parallel(&view, 2).iter().all(|r| r.is_finite()));
+                            assert_eq!(bfs_parallel(&view, 0).len(), n);
+                            assert_eq!(cc_parallel(&view).len(), n);
+                            assert_eq!(bc_parallel(&view, 0).len(), n);
+                        });
+                        taken += 1;
+                    }
+                    taken
+                })
+            })
+            .collect();
+        // Stop the readers even if a writer failed, then report it.
+        let written: Vec<_> = writers.into_iter().map(|w| w.join()).collect();
+        stop.store(true, Ordering::Release);
+        for w in written {
+            w.unwrap();
+        }
+        readers
+            .into_iter()
+            .map(|r| r.join().unwrap())
+            .sum::<usize>()
+    });
+    assert!(snapshots >= 2);
+    let stats = g.stats();
+    assert!(stats.rebalances > 0, "no rebalance: {stats:?}");
+    assert!(stats.resizes > 0, "no resize: {stats:?}");
+    assert!(DynamicGraph::num_vertices(&g) as u64 > nv + 50);
+    assert_eq!(DynamicGraph::num_edges(&g), 500 + 2 * 6_000);
+    g.check_invariants();
+}
+
+#[test]
+fn batched_kernel_reads_never_deadlock_against_growing_writers() {
+    const DEADLINE: Duration = Duration::from_secs(120);
+    let run = std::thread::spawn(parallel_kernels_against_growing_writers);
+    let start = Instant::now();
+    while !run.is_finished() {
+        assert!(
+            start.elapsed() < DEADLINE,
+            "readers and writers made no progress in {DEADLINE:?}: deadlock"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    if let Err(panic) = run.join() {
+        std::panic::resume_unwind(panic);
+    }
 }
