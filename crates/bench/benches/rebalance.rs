@@ -24,13 +24,20 @@ fn rebalance_benchmark(c: &mut Criterion) {
         let new_contents = vec![7u8; window_bytes];
         group.throughput(Throughput::Bytes(window_bytes as u64));
 
-        let ulog = UndoLog::new(Arc::clone(&pool), window_bytes, 2048).unwrap();
+        // The undo log is handed the window's current bytes, so alternate
+        // between two images to keep them accurate.
+        let mut ulog = UndoLog::new(Arc::clone(&pool), window_bytes, 2048).unwrap();
+        let images = [vec![1u8; window_bytes], new_contents.clone()];
+        let mut current = 0;
         group.bench_with_input(
             BenchmarkId::new("per_thread_undo_log", window_bytes),
             &window_bytes,
             |b, _| {
                 b.iter(|| {
-                    ulog.protected_overwrite(window, &new_contents).unwrap();
+                    let next = 1 - current;
+                    ulog.protected_overwrite(window, &images[next], &images[current], None)
+                        .unwrap();
+                    current = next;
                 });
             },
         );

@@ -18,9 +18,10 @@
 //!
 //! Entry indices are *global* (`section * entries_per_section + slot`) so
 //! that a chain may be followed without knowing which section each entry
-//! lives in.  One deviation from the paper (documented in DESIGN.md): a
-//! vertex's entries are always appended to the log of the section containing
-//! its **pivot**, which lets a section merge clear its whole log safely.
+//! lives in.  One deviation from the paper (see the README's "DGAP design"
+//! section): a vertex's entries are always appended to the log of the
+//! section containing its **pivot**, which lets a section merge clear its
+//! whole log safely.
 
 use crate::slot::Slot;
 use crate::traits::VertexId;

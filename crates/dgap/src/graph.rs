@@ -721,7 +721,7 @@ impl Dgap {
 
     /// Rebalance the window starting at section `first` spanning `count`
     /// sections: merge the window's edge logs, redistribute gaps with
-    /// degree-weighted (VCSR) spreading and write the result back
+    /// degree-weighted (VCSR) spreading and write the changed span back
     /// crash-consistently.  Returns `false` when the window needs to be
     /// re-planned (e.g. the geometry changed under us).
     ///
@@ -739,23 +739,21 @@ impl Dgap {
                 let window_limit = self.edges.section_slots(first + count - 1).end;
 
                 // Skip any leading continuation of a vertex whose pivot lies
-                // before the window: those slots are left untouched.
-                let head = self
+                // before the window: those slots are left untouched.  `image`
+                // is the planning read; it doubles as the old image of the
+                // write-back (the section locks keep it current).
+                let mut image = self
                     .edges
                     .read_raw(window_start, (window_limit - window_start) as usize);
-                let mut gstart = window_start;
-                for &word in &head {
-                    if Slot::decode(word).is_edge_record() {
-                        gstart += 1;
-                    } else {
-                        break;
-                    }
-                }
+                let skip = image
+                    .iter()
+                    .take_while(|&&word| Slot::decode(word).is_edge_record())
+                    .count();
+                let gstart = window_start + skip as u64;
 
                 // Collect the vertices whose pivots fall inside the window.
                 let mut items: Vec<(VertexId, Vec<u64>)> = Vec::new();
-                for (i, &word) in head[(gstart - window_start) as usize..].iter().enumerate() {
-                    let _ = i;
+                for &word in &image[skip..] {
                     match Slot::decode(word) {
                         Slot::Pivot(v) => items.push((v, Vec::new())),
                         s if s.is_edge_record() => {
@@ -785,7 +783,8 @@ impl Dgap {
                     return RebalanceOutcome::NeedSections(needed_last_section);
                 }
                 if last_end > window_limit {
-                    // Re-read the spill-over part of the last extent.
+                    // Read the spill-over part of the last extent, extending
+                    // the old image to `gend`.
                     let spill = self
                         .edges
                         .read_raw(window_limit, (last_end - window_limit) as usize);
@@ -795,6 +794,7 @@ impl Dgap {
                             .copied()
                             .filter(|&w| Slot::decode(w).is_edge_record()),
                     );
+                    image.extend_from_slice(&spill);
                 }
 
                 // Fold in every vertex's edge-log chain (they live in the
@@ -834,34 +834,13 @@ impl Dgap {
                 for (p, content) in plan.iter().zip(&contents) {
                     words[p.start..p.start + content.len()].copy_from_slice(content);
                 }
-                let bytes = EdgeArray::encode_raw(&words);
-                let window_off = self.edges.slot_offset(gstart);
 
-                // Crash-consistent overwrite.
-                let write_result = if self.cfg.use_undo_log {
-                    self.ulog_for_current_thread()
-                        .lock()
-                        .protected_overwrite(window_off, &bytes)
-                } else {
-                    // Ablation: PMDK-style transaction, including the journal
-                    // allocation the paper calls out as expensive.
-                    TxContext::new(&self.pool, bytes.len() + 64).and_then(|ctx| {
-                        let mut tx = ctx.begin()?;
-                        tx.add_range(window_off, bytes.len())?;
-                        self.pool.write(window_off, &bytes);
-                        tx.commit();
-                        Ok(())
-                    })
-                };
-                if let Err(e) = write_result {
+                // Crash-consistent write-back of the changed span only,
+                // clearing the window's edge logs, which are now folded in.
+                if let Err(e) =
+                    self.write_back(gstart, &image[skip..], &words, first..first + count)
+                {
                     return RebalanceOutcome::Error(GraphError::OutOfSpace(e.to_string()));
-                }
-
-                // The logs of the window sections are now folded in.
-                for s in first..first + count {
-                    if self.elogs.used(s) > 0 {
-                        self.elogs.clear(s);
-                    }
                 }
 
                 // Refresh DRAM metadata.
@@ -872,11 +851,25 @@ impl Dgap {
                         v.elog_head = NO_ELOG;
                     });
                 }
-                let last_section = self.edges.section_of(gend.saturating_sub(1));
+
+                // Recount occupancy from the post-image; only the slots of
+                // the last section past `gend` come from PM.
+                image[skip..].copy_from_slice(&words);
+                let last_section = self.edges.section_of(gend - 1);
+                let last_end_slot = self.edges.section_slots(last_section).end;
+                let beyond = match last_end_slot - gend {
+                    0 => Vec::new(),
+                    n => self.edges.read_raw(gend, n as usize),
+                };
+                let nonzero = |w: &[u64]| w.iter().filter(|&&w| w != 0).count();
                 for s in first..=last_section {
                     let range = self.edges.section_slots(s);
-                    let raw = self.edges.read_raw(range.start, self.cfg.segment_size);
-                    let occupied = raw.iter().filter(|&&w| w != 0).count() + self.elogs.used(s);
+                    let lo = (range.start - window_start) as usize;
+                    let hi = (range.end.min(gend) - window_start) as usize;
+                    let mut occupied = nonzero(&image[lo..hi]) + self.elogs.used(s);
+                    if s == last_section {
+                        occupied += nonzero(&beyond);
+                    }
                     self.tree_set_occupancy(s, occupied);
                 }
                 self.tail.fetch_max(gend, Ordering::AcqRel);
@@ -904,6 +897,58 @@ impl Dgap {
                 RebalanceOutcome::Error(e) => return Err(e),
             }
         }
+    }
+
+    /// Overwrite the slots from `gstart` on whose words differ between
+    /// `old` (their current contents) and `new`, then clear the non-empty
+    /// edge logs of the `merged` sections.  Only the span from the first to
+    /// the last differing slot is written, and nothing at all when the
+    /// images are equal.  Undo-logged, the log commits with the merged
+    /// section range as its follow-up tag and is disarmed once the logs are
+    /// clear, so a crash never leaves a merged entry both in the array and
+    /// in its log.  The "No EL&UL" ablation protects the span with a
+    /// PMDK-style transaction instead.
+    fn write_back(
+        &self,
+        gstart: u64,
+        old: &[u64],
+        new: &[u64],
+        merged: std::ops::Range<usize>,
+    ) -> pmem::Result<()> {
+        let differs = |(a, b): (&u64, &u64)| a != b;
+        let Some(lo) = old.iter().zip(new).position(differs) else {
+            return Ok(()); // merging a log always changes the image
+        };
+        let hi = old.iter().zip(new).rposition(differs).unwrap_or(lo) + 1;
+        let span_off = self.edges.slot_offset(gstart + lo as u64);
+        let bytes = EdgeArray::encode_raw(&new[lo..hi]);
+        let logs: Vec<usize> = merged.clone().filter(|&s| self.elogs.used(s) > 0).collect();
+        if self.cfg.use_undo_log {
+            let old_bytes = EdgeArray::encode_raw(&old[lo..hi]);
+            let follow_up = (!logs.is_empty()).then(|| (merged.start as u64, merged.len() as u64));
+            // One guard across the commit, the clears and the disarm, so no
+            // other writer reuses the log while the follow-up is pending.
+            let mut ulog = self.ulog_for_current_thread().lock();
+            ulog.protected_overwrite(span_off, &bytes, &old_bytes, follow_up)?;
+            if follow_up.is_some() {
+                for &s in &logs {
+                    self.elogs.clear(s);
+                }
+                ulog.disarm();
+            }
+        } else {
+            // Ablation: PMDK-style transaction, including the journal
+            // allocation the paper calls out as expensive.
+            let ctx = TxContext::new(&self.pool, bytes.len() + 64)?;
+            let mut tx = ctx.begin()?;
+            tx.add_range(span_off, bytes.len())?;
+            self.pool.write(span_off, &bytes);
+            tx.commit();
+            for &s in &logs {
+                self.elogs.clear(s);
+            }
+        }
+        Ok(())
     }
 
     /// Double (or more) the edge array, merging every edge log and spreading
@@ -1775,5 +1820,193 @@ mod tests {
             500,
             "every record is inserted through exactly one path: {s:?}"
         );
+    }
+
+    /// Rebalance the whole edge array as one window.
+    fn rebalance_root(g: &Dgap) {
+        let _rg = g.resize_lock.read();
+        assert!(g.rebalance_window(0, g.num_sections()).unwrap());
+    }
+
+    /// Every vertex's sorted neighbour list.
+    fn edge_multiset(g: &Dgap) -> Vec<Vec<VertexId>> {
+        let view = g.consistent_view();
+        (0..64u64)
+            .map(|v| {
+                let mut n = view.neighbors(v);
+                n.sort_unstable();
+                n
+            })
+            .collect()
+    }
+
+    /// A small graph laid out by one root rebalance: seven edges per
+    /// vertex, after one resize, so the root window (sixteen sections,
+    /// 8 KiB) is four times the 2 KiB undo-log area.  The gap after
+    /// [`SWEPT_INSERT`]'s source is then filled, so that insert goes to the
+    /// edge log.
+    fn laid_out_graph() -> (Arc<PmemPool>, Dgap) {
+        let pool = Arc::new(PmemPool::new(PmemConfig::small_test()));
+        let g = Dgap::create(Arc::clone(&pool), DgapConfig::small_test()).unwrap();
+        for v in 0..64u64 {
+            for k in 0..7 {
+                g.insert_edge(v, (v * 7 + k) % 64).unwrap();
+            }
+        }
+        rebalance_root(&g);
+        let (src, _) = SWEPT_INSERT;
+        for dst in 20.. {
+            let e = g.vertices.entry(src);
+            if !g
+                .edges
+                .read_slot(e.start + 1 + u64::from(e.in_array))
+                .is_empty()
+            {
+                break;
+            }
+            g.insert_edge(src, dst).unwrap();
+        }
+        (pool, g)
+    }
+
+    /// The insert the crash sweep interrupts, with the root rebalance that
+    /// follows it.  The insert goes to the edge log and the rebalance
+    /// merges it; the new degree-weighted plan moves nearly every extent
+    /// (~7.5 KiB changed, so the backup spills) while vertex 0's extent and
+    /// the trailing gaps stay put.
+    const SWEPT_INSERT: (VertexId, VertexId) = (8, 63);
+
+    /// Every section's DRAM occupancy equals its non-empty PM slots plus
+    /// its edge-log entries.
+    fn assert_occupancy_matches_pm(g: &Dgap) {
+        for s in 0..g.num_sections() {
+            let range = g.edges.section_slots(s);
+            let raw = g.edges.read_raw(range.start, g.cfg.segment_size);
+            let on_pm = raw.iter().filter(|&&w| w != 0).count() + g.elogs.used(s);
+            assert_eq!(g.tree.lock().occupancy(s), on_pm, "section {s}");
+        }
+    }
+
+    #[test]
+    fn rebalance_with_an_unchanged_image_writes_nothing() {
+        let (pool, g) = laid_out_graph();
+        rebalance_root(&g);
+        let before_edges = edge_multiset(&g);
+        let before = pool.stats_snapshot();
+        let rebalances = g.stats().rebalances;
+        rebalance_root(&g);
+        let d = pool.stats_snapshot().delta_since(&before);
+        assert_eq!(g.stats().rebalances, rebalances + 1);
+        assert_eq!(d.write_ops, 0, "{d:?}");
+        assert_eq!(d.logical_bytes_written, 0);
+        assert_eq!(d.flushes, 0);
+        assert_eq!(d.fences, 0);
+        assert_eq!(edge_multiset(&g), before_edges);
+        assert_occupancy_matches_pm(&g);
+        g.check_invariants();
+    }
+
+    #[test]
+    fn rebalance_writes_back_only_the_changed_span_from_one_reused_spill_region() {
+        let (pool, g) = laid_out_graph();
+        let cap = g.edges.capacity();
+        let ulog_capacity = g.ulogs[0].lock().capacity();
+        assert!(
+            cap * 8 > ulog_capacity,
+            "the root window exceeds the undo-log area"
+        );
+
+        // Insert one edge, rebalance the root window, and return the changed
+        // slot span with the PM traffic of the rebalance.
+        let step = |(src, dst): (VertexId, VertexId)| {
+            g.insert_edge(src, dst).unwrap();
+            let old = g.edges.read_raw(0, cap);
+            let before = pool.stats_snapshot();
+            rebalance_root(&g);
+            let d = pool.stats_snapshot().delta_since(&before);
+            let new = g.edges.read_raw(0, cap);
+            let lo = old.iter().zip(&new).position(|(a, b)| a != b).unwrap();
+            let hi = old.iter().zip(&new).rposition(|(a, b)| a != b).unwrap();
+            (lo, hi, d)
+        };
+
+        let (elog_inserts, merges) = (g.stats().elog_inserts, g.stats().merges);
+        let (lo, hi, d) = step(SWEPT_INSERT);
+        assert_eq!(g.stats().elog_inserts, elog_inserts + 1);
+        assert_eq!(g.stats().merges, merges + 1);
+        // The changed span lies strictly inside the window, and is itself
+        // larger than the undo-log area, so its backup spills.
+        assert!(lo > 0 && hi < cap - 1, "span {lo}..={hi} of {cap}");
+        assert!((hi - lo + 1) * 8 > ulog_capacity, "span {lo}..={hi}");
+        // The planning read and the merged log chain are the only PM
+        // reads: the undo log is handed the old bytes, and occupancy is
+        // recounted in DRAM (the last section ends at the window's end).
+        assert!(d.logical_bytes_read < (cap * 8 + 64) as u64, "{d:?}");
+        // Backup + new image of the span plus header words: never the
+        // whole window twice.
+        assert!(d.logical_bytes_written < (2 * cap * 8) as u64, "{d:?}");
+        assert_occupancy_matches_pm(&g);
+        g.check_invariants();
+
+        // Later spilled rebalances reuse the spill region.
+        let (mut spilled, mut grown) = (0, 0);
+        for i in 0..10u64 {
+            let used = pool.used();
+            let (lo, hi, _) = step((9 + i, i));
+            spilled += usize::from((hi - lo + 1) * 8 > ulog_capacity);
+            grown += usize::from(pool.used() != used);
+        }
+        assert!(spilled >= 5, "only {spilled} of 10 rebalances spilled");
+        assert!(grown <= 1, "spill region allocated {grown} times");
+        assert_occupancy_matches_pm(&g);
+        g.check_invariants();
+    }
+
+    #[test]
+    fn crash_sweep_over_a_trimmed_spilled_rebalance() {
+        let (src, dst) = SWEPT_INSERT;
+        let (_, g) = laid_out_graph();
+        let pre = edge_multiset(&g);
+        g.insert_edge(src, dst).unwrap();
+        let post = edge_multiset(&g);
+        assert_ne!(pre, post);
+
+        for policy in [pmem::CRASH_KEEP_FLUSHED, pmem::CRASH_DROP_FLUSHED] {
+            let mut n = 0u64;
+            loop {
+                let (pool, g) = laid_out_graph();
+                let mut inserted = false;
+                pool.arm_write_failpoint(n);
+                let finished = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    g.insert_edge(src, dst).unwrap();
+                    inserted = true;
+                    rebalance_root(&g);
+                }))
+                .is_ok();
+                pool.disarm_write_failpoint();
+                drop(g);
+                if finished {
+                    // The insert, the spill allocation, both chunked
+                    // copies and five header updates were all swept.
+                    assert!(n > 20, "only {n} writes swept");
+                    break;
+                }
+                pool.simulate_crash_with(policy);
+                let (g, _) = Dgap::open(Arc::clone(&pool), DgapConfig::small_test()).unwrap();
+                let report = g.verify();
+                assert!(!report.is_fatal(), "write {n}: {:?}", report.first_fatal());
+                g.check_invariants();
+                let got = edge_multiset(&g);
+                if inserted {
+                    assert_eq!(got, post, "write {n}, keep_flushed={policy}");
+                } else {
+                    assert!(
+                        got == pre || got == post,
+                        "write {n}, keep_flushed={policy}"
+                    );
+                }
+                n += 1;
+            }
+        }
     }
 }

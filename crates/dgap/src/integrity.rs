@@ -251,7 +251,7 @@ impl Dgap {
     ) -> Result<bool, GraphError> {
         let _rg = self.resize_lock.read();
         for (i, m) in self.ulogs_for_recovery().iter().enumerate() {
-            let ulog = m.lock();
+            let mut ulog = m.lock();
             let (off, len) = ulog.header_region();
             let name = format!("undo-log {i} header");
             match ulog.verify_header() {

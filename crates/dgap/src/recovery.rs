@@ -367,12 +367,12 @@ impl Dgap {
             use rayon::prelude::*;
             self.ulogs_for_recovery()
                 .par_iter()
-                .map(|ulog| usize::from(ulog.lock().recover().is_some()))
+                .map(|ulog| usize::from(self.recover_ulog(ulog)))
                 .sum()
         } else {
             self.ulogs_for_recovery()
                 .iter()
-                .filter(|ulog| ulog.lock().recover().is_some())
+                .filter(|ulog| self.recover_ulog(ulog))
                 .count()
         };
         drop(ulog_span);
@@ -385,6 +385,22 @@ impl Dgap {
         self.restore_state(state.entries, state.occupancies, state.tail, state.records);
         self.stats_recovered(rolled_back as u64);
         rolled_back
+    }
+
+    /// Settle one undo log after a crash: roll an armed log's span back
+    /// (returning `true`), or finish a committed rebalance by clearing the
+    /// edge logs it merged — every log of the window's sections, since the
+    /// DRAM fill counters are not rebuilt yet.
+    fn recover_ulog(&self, ulog: &Mutex<UndoLog>) -> bool {
+        let mut ulog = ulog.lock();
+        if let Some((first, count)) = ulog.pending_follow_up() {
+            for s in first..first + count {
+                self.elogs.clear(s as usize);
+            }
+            ulog.disarm();
+            return false;
+        }
+        ulog.recover().is_some()
     }
 
     /// Whether a crash of this instance would rebuild with the parallel

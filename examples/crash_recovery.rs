@@ -94,15 +94,16 @@ fn main() {
     pool.write_u64(region + 16, 2048);
     pool.write_u64(region + 24, 0);
     pool.persist(region + 8, 24);
-    pool.write(region + 32, &pool.read_vec(window, 2048));
-    pool.persist(region + 32, 2048);
+    // The backup goes to the data area that follows the 64-byte header.
+    pool.write(region + 64, &pool.read_vec(window, 2048));
+    pool.persist(region + 64, 2048);
     pool.write_u64(region, 1);
     pool.persist(region, 8);
     pool.write(window, &[0xBB; 1024]); // half-finished overwrite
     pool.persist(window, 1024);
     pool.simulate_crash();
 
-    let ulog = dgap::ulog::UndoLog::attach(Arc::clone(&pool), region, 4096, 2048);
+    let mut ulog = dgap::ulog::UndoLog::attach(Arc::clone(&pool), region, 4096, 2048);
     let restored = ulog.recover();
     println!(
         "scenario 3 — interrupted rebalance: undo log rolled back {:?}, window restored: {}",
