@@ -10,7 +10,7 @@
 //! adds.
 
 use dgap::chunks::ranges;
-use dgap::{CsrView, GraphView, VertexId};
+use dgap::{GraphView, VertexId};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -170,90 +170,6 @@ pub fn bc_parallel(view: &impl GraphView, source: VertexId) -> Vec<f64> {
         .collect()
 }
 
-/// Zero-dispatch Brandes betweenness centrality over a CSR view: both the
-/// level-synchronous forward phase and the reverse dependency accumulation
-/// iterate borrowed neighbour slices, chunked per level on the
-/// work-stealing pool.  Same scores as [`bc`] / [`bc_parallel`] up to
-/// floating-point reassociation (the atomic adds).
-pub fn bc_csr(view: &impl CsrView, source: VertexId) -> Vec<f64> {
-    let n = view.num_vertices();
-    if n == 0 || source as usize >= n {
-        return vec![0.0; n];
-    }
-    let sigma: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0f64.to_bits())).collect();
-    let depth: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(u64::MAX)).collect();
-    sigma[source as usize].store(1f64.to_bits(), Ordering::Relaxed);
-    depth[source as usize].store(0, Ordering::Relaxed);
-
-    let mut levels: Vec<Vec<VertexId>> = vec![vec![source]];
-    loop {
-        let frontier = levels.last().unwrap();
-        let d = levels.len() as u64;
-        let next: Vec<VertexId> = ranges(frontier.len())
-            .into_par_iter()
-            .flat_map_iter(|(lo, hi)| {
-                let mut claimed = Vec::new();
-                for &v in &frontier[lo..hi] {
-                    for &u in view.neighbor_slice(v) {
-                        if depth[u as usize]
-                            .compare_exchange(u64::MAX, d, Ordering::Relaxed, Ordering::Relaxed)
-                            .is_ok()
-                        {
-                            claimed.push(u);
-                        }
-                    }
-                }
-                claimed
-            })
-            .collect();
-        ranges(frontier.len()).into_par_iter().for_each(|(lo, hi)| {
-            for &v in &frontier[lo..hi] {
-                let sv = f64::from_bits(sigma[v as usize].load(Ordering::Relaxed));
-                for &u in view.neighbor_slice(v) {
-                    if depth[u as usize].load(Ordering::Relaxed) == d {
-                        atomic_add_f64(&sigma[u as usize], sv);
-                    }
-                }
-            }
-        });
-        if next.is_empty() {
-            break;
-        }
-        levels.push(next);
-    }
-
-    let delta: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0f64.to_bits())).collect();
-    let centrality: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0f64.to_bits())).collect();
-    for (li, level) in levels.iter().enumerate().rev() {
-        let d = li as u64;
-        ranges(level.len()).into_par_iter().for_each(|(lo, hi)| {
-            for &v in &level[lo..hi] {
-                let vi = v as usize;
-                let sv = f64::from_bits(sigma[vi].load(Ordering::Relaxed));
-                let mut acc = 0.0;
-                for &u in view.neighbor_slice(v) {
-                    let ui = u as usize;
-                    if depth[ui].load(Ordering::Relaxed) == d + 1 {
-                        let su = f64::from_bits(sigma[ui].load(Ordering::Relaxed));
-                        if su > 0.0 {
-                            let du = f64::from_bits(delta[ui].load(Ordering::Relaxed));
-                            acc += sv / su * (1.0 + du);
-                        }
-                    }
-                }
-                delta[vi].store(acc.to_bits(), Ordering::Relaxed);
-                if v != source {
-                    atomic_add_f64(&centrality[vi], acc);
-                }
-            }
-        });
-    }
-    centrality
-        .into_iter()
-        .map(|c| f64::from_bits(c.into_inner()))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -319,8 +235,8 @@ mod tests {
         assert!(bc(&e, 0).is_empty());
         assert!(bc_parallel(&e, 0).is_empty());
         let frozen = dgap::FrozenView::capture(&e);
-        assert!(bc_csr(&frozen, 0).is_empty());
-        assert!(bc_csr(&dgap::FrozenView::capture(&g), 50)
+        assert!(bc_parallel(&frozen, 0).is_empty());
+        assert!(bc_parallel(&dgap::FrozenView::capture(&g), 50)
             .iter()
             .all(|&x| x == 0.0));
     }
@@ -330,9 +246,9 @@ mod tests {
         use dgap::FrozenView;
         for source in [0u64, 2, 3] {
             let frozen = FrozenView::capture(&two_triangles());
-            assert_close(&bc(&frozen, source), &bc_csr(&frozen, source));
+            assert_close(&bc(&frozen, source), &bc_parallel(&frozen, source));
         }
         let frozen = FrozenView::capture(&path4());
-        assert_close(&bc(&frozen, 1), &bc_csr(&frozen, 1));
+        assert_close(&bc(&frozen, 1), &bc_parallel(&frozen, 1));
     }
 }

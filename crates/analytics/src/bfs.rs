@@ -8,7 +8,7 @@
 //! the frontier shrinks below `|V| / BETA`.
 
 use dgap::chunks::ranges;
-use dgap::{CsrView, GraphView, VertexId};
+use dgap::{GraphView, VertexId};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicI64, Ordering};
 
@@ -80,12 +80,13 @@ pub fn bfs(view: &impl GraphView, source: VertexId) -> Vec<i64> {
     parent
 }
 
-/// Rayon-parallel direction-optimizing BFS.  Visits the same set of vertices
-/// as [`bfs`] with the same distances; parent choices may differ when a
-/// vertex is reachable from several frontier vertices in the same level.
-/// Both steps read adjacency with one [`GraphView::for_each_adjacency`]
-/// call per chunk of the frontier (top-down) or of the unvisited vertices
-/// (bottom-up).
+/// Rayon-parallel direction-optimizing BFS.  Same GAPBS α/β switching as
+/// [`bfs`], so every level takes the same direction decision and visits the
+/// same set of vertices with the same distances; parent choices may differ
+/// when a vertex is reachable from several frontier vertices in the same
+/// level.  Both steps read adjacency with one
+/// [`GraphView::for_each_adjacency`] call per chunk of the frontier
+/// (top-down) or of the unvisited vertices (bottom-up).
 pub fn bfs_parallel(view: &impl GraphView, source: VertexId) -> Vec<i64> {
     let n = view.num_vertices();
     if n == 0 || source as usize >= n {
@@ -98,7 +99,15 @@ pub fn bfs_parallel(view: &impl GraphView, source: VertexId) -> Vec<i64> {
     let mut explored_edges = view.degree(source);
 
     while !frontier.is_empty() {
-        let frontier_edges: usize = frontier.par_iter().map(|&v| view.degree(v)).sum();
+        let frontier_edges: usize = ranges(frontier.len())
+            .into_par_iter()
+            .map(|(lo, hi)| {
+                frontier[lo..hi]
+                    .iter()
+                    .map(|&v| view.degree(v))
+                    .sum::<usize>()
+            })
+            .sum();
         let remaining = total_edges.saturating_sub(explored_edges).max(1);
         let bottom_up = frontier_edges > remaining / ALPHA && frontier.len() > n / BETA;
 
@@ -149,100 +158,6 @@ pub fn bfs_parallel(view: &impl GraphView, source: VertexId) -> Vec<i64> {
                 .collect()
         };
         explored_edges += next.iter().map(|&v| view.degree(v)).sum::<usize>();
-        frontier = next;
-    }
-    parent.into_iter().map(AtomicI64::into_inner).collect()
-}
-
-/// Zero-dispatch direction-optimizing BFS over a CSR view: both the
-/// top-down step (scan the frontier's neighbour slices, claim children by
-/// CAS) and the bottom-up step (scan unvisited vertices' slices for a
-/// frontier member) iterate borrowed slices in chunks on the work-stealing
-/// pool.  Same GAPBS α/β switching as [`bfs`] — degree sums are slice
-/// lengths, so every level takes the same direction decision — hence the
-/// same reached set and the same hop distances; parent choices may differ
-/// within a level exactly as for [`bfs_parallel`].
-pub fn bfs_csr(view: &impl CsrView, source: VertexId) -> Vec<i64> {
-    let n = view.num_vertices();
-    if n == 0 || source as usize >= n {
-        return vec![UNREACHED; n];
-    }
-    let parent: Vec<AtomicI64> = (0..n).map(|_| AtomicI64::new(UNREACHED)).collect();
-    parent[source as usize].store(source as i64, Ordering::Relaxed);
-    let mut frontier = vec![source];
-    let total_edges = view.num_edges().max(1);
-    let mut explored_edges = view.neighbor_slice(source).len();
-
-    while !frontier.is_empty() {
-        let frontier_edges: usize = ranges(frontier.len())
-            .into_par_iter()
-            .map(|(lo, hi)| {
-                frontier[lo..hi]
-                    .iter()
-                    .map(|&v| view.neighbor_slice(v).len())
-                    .sum::<usize>()
-            })
-            .sum();
-        let remaining = total_edges.saturating_sub(explored_edges).max(1);
-        let bottom_up = frontier_edges > remaining / ALPHA && frontier.len() > n / BETA;
-
-        let next: Vec<VertexId> = if bottom_up {
-            let mut in_frontier = vec![false; n];
-            for &v in &frontier {
-                in_frontier[v as usize] = true;
-            }
-            let in_frontier = &in_frontier;
-            let parent = &parent;
-            ranges(n)
-                .into_par_iter()
-                .flat_map_iter(|(lo, hi)| {
-                    let mut claimed = Vec::new();
-                    for v in lo as u64..hi as u64 {
-                        if parent[v as usize].load(Ordering::Relaxed) != UNREACHED {
-                            continue;
-                        }
-                        if let Some(&u) = view
-                            .neighbor_slice(v)
-                            .iter()
-                            .find(|&&u| in_frontier[u as usize])
-                        {
-                            parent[v as usize].store(u as i64, Ordering::Relaxed);
-                            claimed.push(v);
-                        }
-                    }
-                    claimed
-                })
-                .collect()
-        } else {
-            let frontier = &frontier;
-            let parent = &parent;
-            ranges(frontier.len())
-                .into_par_iter()
-                .flat_map_iter(|(lo, hi)| {
-                    let mut claimed = Vec::new();
-                    for &v in &frontier[lo..hi] {
-                        for &u in view.neighbor_slice(v) {
-                            if parent[u as usize]
-                                .compare_exchange(
-                                    UNREACHED,
-                                    v as i64,
-                                    Ordering::Relaxed,
-                                    Ordering::Relaxed,
-                                )
-                                .is_ok()
-                            {
-                                claimed.push(u);
-                            }
-                        }
-                    }
-                    claimed
-                })
-                .collect()
-        };
-        explored_edges += next
-            .iter()
-            .map(|&v| view.neighbor_slice(v).len())
-            .sum::<usize>();
         frontier = next;
     }
     parent.into_iter().map(AtomicI64::into_inner).collect()
@@ -340,14 +255,14 @@ mod tests {
         let p = bfs_parallel(&g, 99);
         assert!(p.iter().all(|&x| x == UNREACHED));
         let frozen = dgap::FrozenView::capture(&g);
-        assert!(bfs_csr(&frozen, 99).iter().all(|&x| x == UNREACHED));
+        assert!(bfs_parallel(&frozen, 99).iter().all(|&x| x == UNREACHED));
     }
 
     #[test]
     fn csr_kernel_matches_distances_even_through_the_bottom_up_switch() {
         use dgap::FrozenView;
         // Dense hub graph: forces the bottom-up heuristic (as in
-        // `bottom_up_switch_on_dense_graph`) on the CSR path too.
+        // `bottom_up_switch_on_dense_graph`) over a CSR view's slices too.
         let n = 64u64;
         let mut g = ReferenceGraph::new(n as usize);
         for v in 1..n {
@@ -359,10 +274,10 @@ mod tests {
         for g in [g, two_triangles(), path4()] {
             let frozen = FrozenView::capture(&g);
             let ds = distances_from_parents(&frozen, &bfs(&frozen, 0), 0);
-            let dc = distances_from_parents(&frozen, &bfs_csr(&frozen, 0), 0);
+            let dc = distances_from_parents(&frozen, &bfs_parallel(&frozen, 0), 0);
             assert_eq!(ds, dc);
         }
-        assert!(bfs_csr(&FrozenView::capture(&ReferenceGraph::new(0)), 0).is_empty());
+        assert!(bfs_parallel(&FrozenView::capture(&ReferenceGraph::new(0)), 0).is_empty());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! the race benign.
 
 use dgap::chunks::ranges;
-use dgap::{CsrView, GraphView};
+use dgap::GraphView;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -51,8 +51,10 @@ pub fn cc(view: &impl GraphView) -> Vec<u64> {
 }
 
 /// Rayon-parallel Shiloach–Vishkin connected components.  Produces the same
-/// labelling as [`cc`].  The hooking pass reads adjacency with one
-/// [`GraphView::for_each_adjacency`] call per vertex chunk.
+/// labelling as [`cc`]: every label converges to the smallest vertex id in
+/// its component.  The hooking pass reads adjacency with one
+/// [`GraphView::for_each_adjacency`] call per vertex chunk; the
+/// path-halving pass chunks the label array.
 pub fn cc_parallel(view: &impl GraphView) -> Vec<u64> {
     let n = view.num_vertices();
     if n == 0 {
@@ -94,75 +96,8 @@ pub fn cc_parallel(view: &impl GraphView) -> Vec<u64> {
             })
             .reduce(|| false, |a, b| a || b);
 
-        (0..n).into_par_iter().for_each(|v| {
-            // Path halving.
-            loop {
-                let c = comp[v].load(Ordering::Relaxed);
-                let cc = comp[c as usize].load(Ordering::Relaxed);
-                if c == cc {
-                    break;
-                }
-                comp[v].store(cc, Ordering::Relaxed);
-            }
-        });
-        if !changed {
-            break;
-        }
-    }
-    comp.into_iter().map(AtomicU64::into_inner).collect()
-}
-
-/// Zero-dispatch Shiloach–Vishkin connected components over a CSR view:
-/// the hooking pass iterates borrowed neighbour slices in vertex chunks on
-/// the work-stealing pool (same benign monotone-decrease races as
-/// [`cc_parallel`]); the path-halving pass chunks the label array.
-/// Produces the same labelling as [`cc`] and [`cc_parallel`] — every label
-/// converges to the smallest vertex id in its component.
-pub fn cc_csr(view: &impl CsrView) -> Vec<u64> {
-    let n = view.num_vertices();
-    if n == 0 {
-        return Vec::new();
-    }
-    let comp: Vec<AtomicU64> = (0..n as u64).map(AtomicU64::new).collect();
-    let chunk_ranges = ranges(n);
-    loop {
-        let changed: bool = chunk_ranges
-            .par_iter()
-            .map(|&(lo, hi)| {
-                let mut local_change = false;
-                for v in lo as u64..hi as u64 {
-                    for &u in view.neighbor_slice(v) {
-                        loop {
-                            let cv = comp[v as usize].load(Ordering::Relaxed);
-                            let cu = comp[u as usize].load(Ordering::Relaxed);
-                            if cv == cu {
-                                break;
-                            }
-                            let (hi_idx, lo_lbl) = if cv > cu { (v, cu) } else { (u, cv) };
-                            let hi_lbl = comp[hi_idx as usize].load(Ordering::Relaxed);
-                            if hi_lbl <= lo_lbl {
-                                break;
-                            }
-                            if comp[hi_idx as usize]
-                                .compare_exchange(
-                                    hi_lbl,
-                                    lo_lbl,
-                                    Ordering::Relaxed,
-                                    Ordering::Relaxed,
-                                )
-                                .is_ok()
-                            {
-                                local_change = true;
-                                break;
-                            }
-                        }
-                    }
-                }
-                local_change
-            })
-            .reduce(|| false, |a, b| a || b);
-
         chunk_ranges.par_iter().for_each(|&(lo, hi)| {
+            // Path halving.
             for v in lo..hi {
                 loop {
                     let c = comp[v].load(Ordering::Relaxed);
@@ -248,7 +183,7 @@ mod tests {
         let g = ReferenceGraph::new(0);
         assert!(cc(&g).is_empty());
         assert!(cc_parallel(&g).is_empty());
-        assert!(cc_csr(&dgap::FrozenView::capture(&g)).is_empty());
+        assert!(cc_parallel(&dgap::FrozenView::capture(&g)).is_empty());
     }
 
     #[test]
@@ -256,7 +191,7 @@ mod tests {
         use dgap::FrozenView;
         let g = two_triangles();
         let frozen = FrozenView::capture(&g);
-        assert_eq!(cc(&frozen), cc_csr(&frozen));
+        assert_eq!(cc(&frozen), cc_parallel(&frozen));
         let mut big = ReferenceGraph::new(200);
         let mut x = 123u64;
         for _ in 0..500 {
@@ -267,7 +202,7 @@ mod tests {
             big.add_edge(b, a);
         }
         let frozen = FrozenView::capture(&big);
-        assert_eq!(cc(&frozen), cc_csr(&frozen));
+        assert_eq!(cc(&frozen), cc_parallel(&frozen));
     }
 
     #[test]

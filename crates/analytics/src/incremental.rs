@@ -25,7 +25,7 @@
 //!   is what lets the frontier die out instead of flooding the graph.
 //! * [`cc_incremental`] exploits that insert-only deltas can only *merge*
 //!   components: it unions the previous epoch's labels across the changed
-//!   vertices' adjacency and relabels — exactly the labels [`crate::cc_csr`]
+//!   vertices' adjacency and relabels — exactly the labels [`crate::cc_parallel`]
 //!   would produce (component minima), at O(delta + V) instead of
 //!   O(rounds × (V + E)).  Any lost edge could split a component, so
 //!   deletions fall back to the full kernel.
@@ -41,7 +41,7 @@ use rayon::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::pagerank::DAMPING;
+use crate::pagerank::{pagerank_run, DAMPING};
 
 /// Give up on incremental PageRank when the changed set (or any
 /// iteration's frontier) exceeds this fraction of the vertex set — past
@@ -78,7 +78,7 @@ pub struct RankCache {
     base: Vec<Arc<Vec<f64>>>,
     patch: Vec<HashMap<VertexId, f64>>,
     /// Materialised final row (`base[iterations]` + `patch[iterations]`) —
-    /// identical to what `pagerank_csr` would have returned.
+    /// identical to what `pagerank_parallel` would have returned.
     ranks: Vec<f64>,
 }
 
@@ -93,7 +93,7 @@ impl RankCache {
         self.base.first().map_or(0, |row| row.len())
     }
 
-    /// The final rank vector — identical to what `pagerank_csr` returned.
+    /// The final rank vector — identical to what `pagerank_parallel` returned.
     pub fn ranks(&self) -> &[f64] {
         &self.ranks
     }
@@ -154,59 +154,16 @@ pub struct IncrementalRun {
     pub recomputed: usize,
 }
 
-/// Full zero-dispatch PageRank that also records the per-iteration rank
-/// history.  The loop body is the same two chunked passes as
-/// [`crate::pagerank_csr`] in the same order, so the trajectory (and the
-/// final vector) is bit-identical to it.
+/// Full PageRank that also records the per-iteration rank history.  It
+/// runs the very loop of [`crate::pagerank_parallel`], so the trajectory
+/// (and the final vector) is bit-identical to it.
 pub fn pagerank_csr_recording(view: &impl CsrView, iterations: usize) -> RankCache {
-    let n = view.num_vertices();
-    if n == 0 {
-        return RankCache {
-            iterations,
-            base: Vec::new(),
-            patch: Vec::new(),
-            ranks: Vec::new(),
-        };
-    }
-    let base = (1.0 - DAMPING) / n as f64;
-    let mut ranks = vec![1.0 / n as f64; n];
-    let mut contrib = vec![0.0f64; n];
-    let chunk_ranges = ranges(n);
-    let mut history = Vec::with_capacity(iterations + 1);
-    history.push(ranks.clone());
-    for _ in 0..iterations {
-        {
-            let ranks = &ranks;
-            let dst = SendPtr(contrib.as_mut_ptr());
-            chunk_ranges.par_iter().for_each(|&(lo, hi)| {
-                for (off, &rank) in ranks[lo..hi].iter().enumerate() {
-                    let v = lo + off;
-                    let d = view.neighbor_slice(v as u64).len();
-                    let c = if d == 0 { 0.0 } else { rank / d as f64 };
-                    // Chunks are disjoint: each index is written once.
-                    unsafe { *dst.get().add(v) = c };
-                }
-            });
-        }
-        {
-            let contrib = &contrib;
-            let dst = SendPtr(ranks.as_mut_ptr());
-            chunk_ranges.par_iter().for_each(|&(lo, hi)| {
-                for v in lo..hi {
-                    let mut sum = 0.0;
-                    for &u in view.neighbor_slice(v as u64) {
-                        sum += contrib[u as usize];
-                    }
-                    unsafe { *dst.get().add(v) = base + DAMPING * sum };
-                }
-            });
-        }
-        history.push(ranks.clone());
-    }
+    let mut history = Vec::new();
+    let ranks = pagerank_run(view, iterations, |row| history.push(Arc::new(row.to_vec())));
     RankCache {
         iterations,
-        base: history.into_iter().map(Arc::new).collect(),
-        patch: vec![HashMap::new(); iterations + 1],
+        patch: vec![HashMap::new(); history.len()],
+        base: history,
         ranks,
     }
 }
@@ -220,7 +177,7 @@ pub fn pagerank_csr_recording(view: &impl CsrView, iterations: usize) -> RankCac
 /// allowed to transiently flood (a perturbation spreads before pruning
 /// contracts it); only the input delta gates the fallback.
 ///
-/// The result matches `pagerank_csr(view, prev.iterations())` to well
+/// The result matches `pagerank_parallel(view, prev.iterations())` to well
 /// within `1e-9` per vertex: untouched vertices reuse the old trajectory
 /// bit-for-bit, recomputed vertices re-derive their value from the same
 /// neighbour order, and only deviations at or below
@@ -376,7 +333,7 @@ pub fn pagerank_incremental(
 /// across the changed vertices' adjacency.  Insert-only deltas can only
 /// merge components, so a union-find over the old labels — seeded by every
 /// edge incident to a changed vertex — followed by one relabel pass yields
-/// **exactly** the labels [`crate::cc_csr`] produces (the smallest vertex
+/// **exactly** the labels [`crate::cc_parallel`] produces (the smallest vertex
 /// id in each component).  Returns `None` when any edge was lost (a
 /// deletion can split a component; only the full kernel can see that) or
 /// the vertex range shrank.
@@ -414,7 +371,7 @@ pub fn cc_incremental(
 
     // Union-find over label ids (labels are vertex ids, so the table spans
     // the vertex range).  Attaching the larger root under the smaller
-    // keeps every root the minimum of its merged set — the cc_csr invariant.
+    // keeps every root the minimum of its merged set — the cc_parallel invariant.
     let mut parent: Vec<u64> = (0..n as u64).collect();
     for &v in changed {
         if v as usize >= n {
@@ -455,7 +412,7 @@ pub fn cc_incremental(
 mod tests {
     use super::*;
     use crate::testutil::{path4, two_triangles};
-    use crate::{cc_csr, pagerank_csr};
+    use crate::{cc_parallel, pagerank_parallel};
     use dgap::{FrozenView, GraphView, ReferenceGraph};
 
     /// A pseudo-random symmetric graph plus a list of extra edges to apply
@@ -481,11 +438,11 @@ mod tests {
     }
 
     #[test]
-    fn recording_run_is_bit_identical_to_pagerank_csr() {
+    fn recording_run_is_bit_identical_to_pagerank_parallel() {
         for g in [two_triangles(), path4()] {
             let frozen = FrozenView::capture(&g);
             let cache = pagerank_csr_recording(&frozen, 20);
-            assert_eq!(cache.ranks(), &pagerank_csr(&frozen, 20)[..]);
+            assert_eq!(cache.ranks(), &pagerank_parallel(&frozen, 20)[..]);
             assert_eq!(cache.iterations(), 20);
             assert_eq!(cache.num_vertices(), g.num_vertices());
             assert_eq!(cache.entries(), 21 * g.num_vertices());
@@ -526,7 +483,7 @@ mod tests {
             let frozen = FrozenView::capture(&g);
             let run = pagerank_incremental(&frozen, &cache, &changed)
                 .expect("small burst stays incremental");
-            let full = pagerank_csr(&frozen, 20);
+            let full = pagerank_parallel(&frozen, 20);
             assert_within(run.cache.ranks(), &full, 1e-9);
             assert!(run.frontier_peak >= 1, "burst {burst} had a frontier");
             assert!(run.recomputed >= changed.len() * 20);
@@ -566,19 +523,19 @@ mod tests {
             g.add_edge(a, b);
             g.add_edge(b, a);
         }
-        let labels = cc_csr(&FrozenView::capture(&g));
+        let labels = cc_parallel(&FrozenView::capture(&g));
         g.add_edge(2, 5);
         g.add_edge(5, 2);
         let frozen = FrozenView::capture(&g);
         let merged = cc_incremental(&frozen, &labels, &[2, 5], false).expect("insert-only burst");
-        assert_eq!(merged, cc_csr(&frozen), "exact label parity");
+        assert_eq!(merged, cc_parallel(&frozen), "exact label parity");
         assert_eq!(merged[5], 0, "merged component takes the minimum label");
     }
 
     #[test]
     fn incremental_cc_across_random_bursts() {
         let mut g = random_graph(200, 220, 11);
-        let mut labels = cc_csr(&FrozenView::capture(&g));
+        let mut labels = cc_parallel(&FrozenView::capture(&g));
         let mut x = 5u64;
         for _ in 0..8 {
             let mut changed: Vec<u64> = Vec::new();
@@ -594,7 +551,7 @@ mod tests {
             changed.dedup();
             let frozen = FrozenView::capture(&g);
             labels = cc_incremental(&frozen, &labels, &changed, false).expect("inserts");
-            assert_eq!(labels, cc_csr(&frozen));
+            assert_eq!(labels, cc_parallel(&frozen));
         }
     }
 
@@ -602,7 +559,7 @@ mod tests {
     fn incremental_cc_declines_deletions_and_shrunken_ranges() {
         let g = path4();
         let frozen = FrozenView::capture(&g);
-        let labels = cc_csr(&frozen);
+        let labels = cc_parallel(&frozen);
         assert!(cc_incremental(&frozen, &labels, &[1], true).is_none());
         let smaller = FrozenView::capture(&ReferenceGraph::new(2));
         assert!(cc_incremental(&smaller, &labels, &[], false).is_none());
@@ -613,13 +570,13 @@ mod tests {
         let mut g = ReferenceGraph::new(4);
         g.add_edge(0, 1);
         g.add_edge(1, 0);
-        let labels = cc_csr(&FrozenView::capture(&g));
+        let labels = cc_parallel(&FrozenView::capture(&g));
         // Grow the range and attach the new vertex to the old component.
         g.add_edge(7, 1);
         g.add_edge(1, 7);
         let frozen = FrozenView::capture(&g);
         let merged = cc_incremental(&frozen, &labels, &[1, 7], false).expect("inserts");
-        assert_eq!(merged, cc_csr(&frozen));
+        assert_eq!(merged, cc_parallel(&frozen));
         assert_eq!(merged[7], 0);
     }
 }

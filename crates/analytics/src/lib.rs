@@ -12,21 +12,24 @@
 //!
 //! All kernels are generic over [`GraphView`], so they run unchanged on
 //! DGAP, on every baseline system, and on the in-memory
-//! [`dgap::ReferenceGraph`] used as the test oracle.  Each kernel has a
-//! sequential implementation and a rayon-parallel one (`*_parallel`); the
-//! benchmark harness picks the parallel variant and sizes the rayon pool to
-//! the requested thread count.
+//! [`dgap::ReferenceGraph`] used as the test oracle.  Each of the four has
+//! **one parallel kernel** (`*_parallel`), which the benchmark harness and
+//! the service run with the pool sized to the requested thread count, and
+//! a sequential implementation kept as the test oracle.
 //!
-//! Views that expose flat CSR arrays ([`dgap::CsrView`]: `FrozenView`, the
-//! `sharded` crate's unified cross-shard snapshot) additionally get
-//! **zero-dispatch** `*_csr` variants: the hot loops iterate borrowed
-//! neighbour slices directly, chunked over the work-stealing pool, instead
-//! of paying a virtual `&mut dyn FnMut` call per edge through
-//! [`GraphView::for_each_neighbor`].  Each `*_csr` kernel produces the same
-//! answers as its dyn siblings (bit-identical ranks for `pagerank_csr`,
-//! identical labels for `cc_csr`, identical reached sets/distances for
-//! `bfs_csr`); `tests/analytics_csr_parity.rs` and the `dgap-bench
-//! analytics` experiment pin parity and the speedup respectively.
+//! The parallel kernels read adjacency through
+//! [`GraphView::for_each_adjacency`], one call per vertex chunk.  Views
+//! that hold flat CSR arrays ([`dgap::FrozenView`], the `sharded` crate's
+//! unified cross-shard snapshot) answer it with borrowed neighbour slices:
+//! one callback per vertex, no copy and no per-edge `&mut dyn FnMut` call.
+//! DGAP's snapshot answers it with one lock and read-meter set-up per
+//! chunk.  So the same kernel is the zero-dispatch path on a CSR view and
+//! the batched path on a live snapshot.  PageRank is bit-identical to its
+//! sequential oracle on every view, CC labels are
+//! identical, BFS reaches the same vertices at the same depths, and BC
+//! matches up to floating-point reassociation;
+//! `tests/analytics_csr_parity.rs` and `tests/parallel_parity.rs` pin
+//! this.  [`pagerank_csr`] remains as a name for [`pagerank_parallel`].
 //!
 //! Beyond the paper's four kernels, the CSR plane carries a wider serving
 //! set — [`triangle_count_csr`], [`k_core_csr`], [`top_k_degree`] /
@@ -58,9 +61,9 @@ pub mod pagerank;
 pub mod topk;
 pub mod triangles;
 
-pub use bc::{bc, bc_csr, bc_parallel};
-pub use bfs::{bfs, bfs_csr, bfs_parallel};
-pub use cc::{cc, cc_csr, cc_parallel};
+pub use bc::{bc, bc_parallel};
+pub use bfs::{bfs, bfs_parallel};
+pub use cc::{cc, cc_parallel};
 pub use incremental::{
     cc_incremental, pagerank_csr_recording, pagerank_incremental, IncrementalRun, RankCache,
     INCREMENTAL_FALLBACK_FRACTION, INCREMENTAL_PRUNE_TOLERANCE,

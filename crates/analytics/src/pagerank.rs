@@ -37,47 +37,31 @@ pub fn pagerank(view: &impl GraphView, iterations: usize) -> Vec<f64> {
     ranks
 }
 
-/// Rayon-parallel PageRank; numerically identical to [`pagerank`] (the pull
-/// model writes each vertex's rank exactly once per iteration, so no atomics
-/// are needed).  The pull pass reads adjacency with one
-/// [`GraphView::for_each_adjacency`] call per vertex chunk.
+/// Rayon-parallel PageRank; bit-identical to [`pagerank`] (the pull model
+/// writes each vertex's rank exactly once per iteration, so no atomics are
+/// needed, and each sum accumulates left-to-right over the same neighbour
+/// order).  Both passes run in vertex chunks on the work-stealing pool; the
+/// pull pass reads adjacency with one [`GraphView::for_each_adjacency`]
+/// call per chunk, which CSR views answer with borrowed slices.
 pub fn pagerank_parallel(view: &impl GraphView, iterations: usize) -> Vec<f64> {
-    let n = view.num_vertices();
-    if n == 0 {
-        return Vec::new();
-    }
-    let base = (1.0 - DAMPING) / n as f64;
-    let mut ranks = vec![1.0 / n as f64; n];
-    let mut contrib = vec![0.0f64; n];
-    let chunk_ranges = ranges(n);
-    for _ in 0..iterations {
-        contrib.par_iter_mut().enumerate().for_each(|(v, c)| {
-            let d = view.degree(v as u64);
-            *c = if d == 0 { 0.0 } else { ranks[v] / d as f64 };
-        });
-        let contrib = &contrib;
-        let dst = SendPtr(ranks.as_mut_ptr());
-        chunk_ranges.par_iter().for_each(|&(lo, hi)| {
-            view.for_each_adjacency((lo as u64..hi as u64).into(), &mut |v, nbrs| {
-                let mut sum = 0.0;
-                for &u in nbrs {
-                    sum += contrib[u as usize];
-                }
-                // Chunks are disjoint: each index is written once.
-                unsafe { *dst.get().add(v as usize) = base + DAMPING * sum };
-            });
-        });
-    }
-    ranks
+    pagerank_run(view, iterations, |_| {})
 }
 
-/// Zero-dispatch PageRank over a CSR view: both passes iterate borrowed
-/// neighbour slices in vertex chunks on the work-stealing pool — no
-/// per-edge closure, no per-vertex combinator item.  Bit-identical to
-/// [`pagerank`] and [`pagerank_parallel`]: each vertex's contribution sum
-/// accumulates left-to-right over the same neighbour order, and every rank
-/// is written exactly once per iteration.
+/// PageRank over a CSR view: the same kernel as [`pagerank_parallel`], kept
+/// under this name for callers that predate the single kernel.
 pub fn pagerank_csr(view: &impl CsrView, iterations: usize) -> Vec<f64> {
+    pagerank_parallel(view, iterations)
+}
+
+/// The one parallel PageRank loop: [`pagerank_parallel`] and
+/// [`crate::pagerank_csr_recording`] both run it, so a recorded trajectory
+/// is bit-identical to the plain kernel by construction.  `on_iteration`
+/// sees the uniform seed and then the rank vector after every iteration.
+pub(crate) fn pagerank_run(
+    view: &impl GraphView,
+    iterations: usize,
+    mut on_iteration: impl FnMut(&[f64]),
+) -> Vec<f64> {
     let n = view.num_vertices();
     if n == 0 {
         return Vec::new();
@@ -86,6 +70,7 @@ pub fn pagerank_csr(view: &impl CsrView, iterations: usize) -> Vec<f64> {
     let mut ranks = vec![1.0 / n as f64; n];
     let mut contrib = vec![0.0f64; n];
     let chunk_ranges = ranges(n);
+    on_iteration(&ranks);
     for _ in 0..iterations {
         {
             let ranks = &ranks;
@@ -93,9 +78,11 @@ pub fn pagerank_csr(view: &impl CsrView, iterations: usize) -> Vec<f64> {
             chunk_ranges.par_iter().for_each(|&(lo, hi)| {
                 for (off, &rank) in ranks[lo..hi].iter().enumerate() {
                     let v = lo + off;
-                    let d = view.neighbor_slice(v as u64).len();
+                    let d = view.degree(v as u64);
                     let c = if d == 0 { 0.0 } else { rank / d as f64 };
-                    // Chunks are disjoint: each index is written once.
+                    // SAFETY: `v < hi <= n == contrib.len()`, and chunks are
+                    // disjoint, so each index is written once and no task
+                    // reads `contrib` during this pass.
                     unsafe { *dst.get().add(v) = c };
                 }
             });
@@ -104,15 +91,21 @@ pub fn pagerank_csr(view: &impl CsrView, iterations: usize) -> Vec<f64> {
             let contrib = &contrib;
             let dst = SendPtr(ranks.as_mut_ptr());
             chunk_ranges.par_iter().for_each(|&(lo, hi)| {
-                for v in lo..hi {
+                view.for_each_adjacency((lo as u64..hi as u64).into(), &mut |v, nbrs| {
                     let mut sum = 0.0;
-                    for &u in view.neighbor_slice(v as u64) {
+                    for &u in nbrs {
                         sum += contrib[u as usize];
                     }
+                    let v = v as usize;
+                    assert!((lo..hi).contains(&v), "batched read left its chunk");
+                    // SAFETY: `v` lies in this task's chunk (checked above)
+                    // and chunks are disjoint, so each index is written once
+                    // and no task reads `ranks` during this pass.
                     unsafe { *dst.get().add(v) = base + DAMPING * sum };
-                }
+                });
             });
         }
+        on_iteration(&ranks);
     }
     ranks
 }
@@ -170,11 +163,15 @@ mod tests {
         use dgap::FrozenView;
         for g in [two_triangles(), path4()] {
             let frozen = FrozenView::capture(&g);
-            let dyn_ranks = pagerank(&frozen, 20);
-            let csr_ranks = pagerank_csr(&frozen, 20);
-            assert_eq!(dyn_ranks, csr_ranks, "same fp ops in the same order");
+            let seq_ranks = pagerank(&frozen, 20);
+            assert_eq!(
+                seq_ranks,
+                pagerank_parallel(&frozen, 20),
+                "same fp ops in the same order"
+            );
+            assert_eq!(seq_ranks, pagerank_csr(&frozen, 20));
         }
-        assert!(pagerank_csr(&FrozenView::capture(&ReferenceGraph::new(0)), 5).is_empty());
+        assert!(pagerank_parallel(&FrozenView::capture(&ReferenceGraph::new(0)), 5).is_empty());
     }
 
     #[test]

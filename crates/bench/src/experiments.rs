@@ -9,8 +9,7 @@
 use crate::harness::{measure, pool_for_edges, AnySystem, BenchOptions, Measurement, Workload};
 use crate::report::{meps, ratio, secs, Table};
 use analytics::{
-    bc_csr, bc_parallel, bfs_csr, bfs_parallel, cc_csr, cc_parallel, highest_degree_vertex,
-    pagerank_csr, pagerank_parallel, with_threads,
+    bc_parallel, bfs_parallel, cc_parallel, highest_degree_vertex, pagerank_parallel, with_threads,
 };
 use baselines::SystemKind;
 use dgap::{Dgap, DgapConfig, DgapVariant, DynamicGraph, GraphView, SnapshotSource};
@@ -265,25 +264,19 @@ impl Kernel {
 
 fn run_kernel(view: &impl GraphView, kernel: Kernel, threads: usize, source: u64) -> f64 {
     let start = std::time::Instant::now();
-    with_threads(threads, || match kernel {
-        Kernel::PageRank => {
-            let r = pagerank_parallel(view, analytics::pagerank::DEFAULT_ITERATIONS);
-            std::hint::black_box(r.len());
-        }
-        Kernel::Bfs => {
-            let p = bfs_parallel(view, source);
-            std::hint::black_box(p.len());
-        }
-        Kernel::Bc => {
-            let c = bc_parallel(view, source);
-            std::hint::black_box(c.len());
-        }
-        Kernel::Cc => {
-            let c = cc_parallel(view);
-            std::hint::black_box(c.len());
-        }
-    });
+    with_threads(threads, || kernel_once(view, kernel, source));
     start.elapsed().as_secs_f64()
+}
+
+/// Run one parallel kernel on the current pool, keeping its result alive.
+fn kernel_once(view: &impl GraphView, kernel: Kernel, source: u64) {
+    let len = match kernel {
+        Kernel::PageRank => pagerank_parallel(view, analytics::pagerank::DEFAULT_ITERATIONS).len(),
+        Kernel::Bfs => bfs_parallel(view, source).len(),
+        Kernel::Bc => bc_parallel(view, source).len(),
+        Kernel::Cc => cc_parallel(view).len(),
+    };
+    std::hint::black_box(len);
 }
 
 /// Build every system (including the CSR reference), load the workload and
@@ -1049,18 +1042,46 @@ pub fn snapshot(opts: &BenchOptions) -> Table {
     table
 }
 
-/// `analytics`: the zero-dispatch analytics plane — dyn-dispatch kernels
-/// (per-edge `&mut dyn FnMut` through [`dgap::GraphView`]) vs the `*_csr`
-/// slice kernels, plus the cost of the [`sharded::UnifiedView`] merge the
-/// CSR kernels run over.  Not a paper artefact — this seeds the analytics
-/// trajectory the ISSUE-5 plane opens.
+/// A view that implements only the four required [`GraphView`] methods, so
+/// its batched read is the trait's default: one `&mut dyn FnMut` call per
+/// edge, copied into a buffer.  The `dyn` rows of the `analytics`
+/// experiment run the kernels through it to measure what the slice read
+/// saves.
+struct PerEdgeDispatch<'a, V>(&'a V);
+
+impl<V: GraphView> GraphView for PerEdgeDispatch<'_, V> {
+    fn num_vertices(&self) -> usize {
+        self.0.num_vertices()
+    }
+
+    fn num_edges(&self) -> usize {
+        self.0.num_edges()
+    }
+
+    fn degree(&self, v: u64) -> usize {
+        self.0.degree(v)
+    }
+
+    fn for_each_neighbor(&self, v: u64, f: &mut dyn FnMut(u64)) {
+        self.0.for_each_neighbor(v, f)
+    }
+}
+
+/// `analytics`: the analytics plane — the parallel kernels reading
+/// adjacency per edge through a dyn callback vs reading borrowed CSR
+/// slices, plus the cost of the [`sharded::UnifiedView`] merge the kernels
+/// run over.  Not a paper artefact.
 ///
 /// Rows (p50/p99 over trials):
 ///
-/// * `dyn` / `csr` per `--threads` entry × kernel (PR/BFS/CC/BC): both run
-///   over the **same** [`sharded::UnifiedView`] data, so the row pair
-///   isolates pure dispatch cost; the `csr` row's `speedup` column is dyn
-///   p50 / csr p50.
+/// * `dyn` / `csr` per `--threads` entry × kernel (PR/BFS/CC/BC): the same
+///   `*_parallel` kernel over the **same** [`sharded::UnifiedView`] data.
+///   `csr` runs it on the view directly, whose batched read hands out
+///   borrowed slices; `dyn` runs it through a wrapper that implements only
+///   the four required methods, so it makes one `&mut dyn FnMut` call per
+///   edge.  The row pair isolates
+///   pure dispatch cost; the `csr` row's `speedup` column is dyn p50 / csr
+///   p50.
 /// * `dyn-composite` / `csr-unified` per `--shards` entry (PageRank): the
 ///   shard-routed composite (partitioner hash per vertex + dyn dispatch
 ///   per edge) vs the unified CSR at that shard count — what the service's
@@ -1143,39 +1164,14 @@ pub fn analytics(opts: &BenchOptions) -> Table {
         let unified = UnifiedView::unify(&owned);
         let source = highest_degree_vertex(&unified);
         let kernels = [Kernel::PageRank, Kernel::Bfs, Kernel::Cc, Kernel::Bc];
+        let per_edge = PerEdgeDispatch(&unified);
         for &threads in &opts.thread_counts {
             for kernel in kernels {
                 let (dyn_p50, dyn_p99) = timed(&mut || {
-                    with_threads(threads, || match kernel {
-                        Kernel::PageRank => {
-                            std::hint::black_box(pagerank_parallel(&unified, ITERS).len());
-                        }
-                        Kernel::Bfs => {
-                            std::hint::black_box(bfs_parallel(&unified, source).len());
-                        }
-                        Kernel::Cc => {
-                            std::hint::black_box(cc_parallel(&unified).len());
-                        }
-                        Kernel::Bc => {
-                            std::hint::black_box(bc_parallel(&unified, source).len());
-                        }
-                    });
+                    with_threads(threads, || kernel_once(&per_edge, kernel, source));
                 });
                 let (csr_p50, csr_p99) = timed(&mut || {
-                    with_threads(threads, || match kernel {
-                        Kernel::PageRank => {
-                            std::hint::black_box(pagerank_csr(&unified, ITERS).len());
-                        }
-                        Kernel::Bfs => {
-                            std::hint::black_box(bfs_csr(&unified, source).len());
-                        }
-                        Kernel::Cc => {
-                            std::hint::black_box(cc_csr(&unified).len());
-                        }
-                        Kernel::Bc => {
-                            std::hint::black_box(bc_csr(&unified, source).len());
-                        }
-                    });
+                    with_threads(threads, || kernel_once(&unified, kernel, source));
                 });
                 for (mode, p50, p99, speedup) in [
                     ("dyn", dyn_p50, dyn_p99, 1.0),
@@ -1206,7 +1202,7 @@ pub fn analytics(opts: &BenchOptions) -> Table {
             std::hint::black_box(pagerank_parallel(&*owned, ITERS).len());
         });
         let (unified_p50, unified_p99) = timed(&mut || {
-            std::hint::black_box(pagerank_csr(&unified, ITERS).len());
+            std::hint::black_box(pagerank_parallel(&unified, ITERS).len());
         });
         let (full_p50, full_p99) = timed(&mut || {
             std::hint::black_box(UnifiedView::unify(&owned).num_edges());
@@ -1282,7 +1278,7 @@ pub fn analytics(opts: &BenchOptions) -> Table {
 /// carry their spans forward) and both PageRank and connected components
 /// run twice:
 ///
-/// * `full`: the plain CSR kernel over the refreshed view.
+/// * `full`: the parallel kernel over the refreshed view.
 /// * `incr`: the incremental kernel seeded from the previous epoch's
 ///   result, re-relaxing only the delta's frontier.  `speedup` is full p50
 ///   / incr p50.  The 10%E row deliberately shows the profitability
@@ -1375,7 +1371,7 @@ pub fn incremental(opts: &BenchOptions) -> Table {
     let mut owned = graph.consistent_view_arc();
     let mut unified = UnifiedView::unify(&owned);
     let mut cache = pagerank_csr_recording(&unified, ITERS);
-    let mut labels = cc_csr(&unified);
+    let mut labels = cc_parallel(&unified);
 
     let bursts: [(&str, usize); 4] = [
         ("1", 1),
@@ -1410,17 +1406,17 @@ pub fn incremental(opts: &BenchOptions) -> Table {
         let delta = next.delta().expect("refreshed views carry a delta");
 
         let (full_pr_p50, full_pr_p99) = timed(&mut || {
-            std::hint::black_box(pagerank_csr(&next, ITERS).len());
+            std::hint::black_box(pagerank_parallel(&next, ITERS).len());
         });
         let (incr_pr_p50, incr_pr_p99) = timed(&mut || {
             match pagerank_incremental(&next, &cache, delta.changed_vertices()) {
                 Some(run) => std::hint::black_box(run.cache.ranks().len()),
                 // Declined: the incremental path's cost IS the fallback.
-                None => std::hint::black_box(pagerank_csr(&next, ITERS).len()),
+                None => std::hint::black_box(pagerank_parallel(&next, ITERS).len()),
             };
         });
         let (full_cc_p50, full_cc_p99) = timed(&mut || {
-            std::hint::black_box(cc_csr(&next).len());
+            std::hint::black_box(cc_parallel(&next).len());
         });
         let (incr_cc_p50, incr_cc_p99) = timed(&mut || {
             match cc_incremental(
@@ -1430,7 +1426,7 @@ pub fn incremental(opts: &BenchOptions) -> Table {
                 delta.has_deletions(),
             ) {
                 Some(l) => std::hint::black_box(l.len()),
-                None => std::hint::black_box(cc_csr(&next).len()),
+                None => std::hint::black_box(cc_parallel(&next).len()),
             };
         });
         for (mode, kernel, p50, p99, speedup) in [
@@ -1469,7 +1465,7 @@ pub fn incremental(opts: &BenchOptions) -> Table {
         cache = pagerank_incremental(&next, &cache, delta.changed_vertices())
             .map(|run| run.cache)
             .unwrap_or_else(|| pagerank_csr_recording(&next, ITERS));
-        labels = cc_csr(&next);
+        labels = cc_parallel(&next);
         unified = next;
         owned = owned2;
     }

@@ -1,7 +1,7 @@
 //! Shared plumbing for chunked parallel loops over index ranges.
 //!
-//! The parallel snapshot capture in this crate, the zero-dispatch `*_csr`
-//! kernels in `analytics`, and the `sharded` crate's unified-CSR merge all
+//! The parallel snapshot capture in this crate, the parallel kernels in
+//! `analytics`, and the `sharded` crate's unified-CSR merge all
 //! follow the same shape: split an index range into pool-sized chunks, run
 //! plain loops inside each chunk, and write results into disjoint slices of
 //! a shared output buffer.  This module holds the two pieces they share —

@@ -345,18 +345,16 @@ impl<'a> From<&'a [VertexId]> for Vertices<'a> {
     }
 }
 
-/// Views whose adjacency lives in flat CSR arrays expose it here, so the
-/// analytics kernels can iterate **borrowed neighbour slices** instead of
-/// paying a virtual `&mut dyn FnMut` call per edge through
-/// [`GraphView::for_each_neighbor`].
+/// Views whose adjacency lives in flat CSR arrays expose it here:
+/// [`FrozenView`] and the `sharded` crate's unified cross-shard snapshot.
 ///
-/// This is a *capability* trait layered on top of [`GraphView`]: kernels
-/// keep their generic `GraphView` implementations as the fallback for
-/// systems that resolve adjacency lazily (LLAMA-style deltas, borrowed
-/// degree-cache snapshots), and add `*_csr` specialisations for views that
-/// can promise slice access — [`FrozenView`] and the `sharded` crate's
-/// unified cross-shard snapshot.  On PageRank the difference is 20
-/// iterations × |E| dynamic dispatches that simply stop existing.
+/// This is a *capability* trait layered on top of [`GraphView`].  The
+/// four paper kernels do not need it: these views answer
+/// [`GraphView::for_each_adjacency`] with borrowed neighbour slices, so
+/// the generic parallel kernels already skip the per-edge `&mut dyn FnMut`
+/// call.  The kernels that read other vertices' slices while visiting one
+/// (triangle count, k-core, k-hop, the incremental replays) take a
+/// `CsrView`.
 pub trait CsrView: GraphView {
     /// The neighbours of `v` as a borrowed slice.  Out-of-range ids (which
     /// untrusted callers are free to send) have no neighbours.
@@ -555,7 +553,7 @@ impl FrozenView {
         }
         use rayon::prelude::*;
 
-        // Pool-sized vertex ranges (shared sizing with the `*_csr`
+        // Pool-sized vertex ranges (shared sizing with the parallel
         // kernels and the unified-CSR merge — see [`crate::chunks`]).
         let ranges = crate::chunks::ranges(n);
 
@@ -660,6 +658,14 @@ impl GraphView for FrozenView {
         // impl's push-per-neighbour through the dyn closure.
         self.neighbor_slice(v).to_vec()
     }
+
+    fn for_each_adjacency(&self, vertices: Vertices<'_>, f: &mut dyn FnMut(VertexId, &[VertexId])) {
+        // Hand out the borrowed CSR span: one callback per vertex, no copy
+        // and no per-edge dispatch.
+        for v in vertices.iter() {
+            f(v, self.neighbor_slice(v));
+        }
+    }
 }
 
 impl CsrView for FrozenView {
@@ -761,19 +767,28 @@ mod tests {
         g.add_edge(0, 1);
         g.add_edge(0, 2);
         g.add_edge(2, 0);
-        let batch = |vertices: Vertices<'_>| {
-            let mut got = Vec::new();
-            g.for_each_adjacency(vertices, &mut |v, nbrs| got.push((v, nbrs.to_vec())));
-            got
-        };
-        let per_vertex = |ids: &[VertexId]| -> Vec<(VertexId, Vec<VertexId>)> {
-            ids.iter().map(|&v| (v, g.neighbors(v))).collect()
-        };
-        // Out-of-range ids get an empty slice.
-        assert_eq!(batch((0..5).into()), per_vertex(&[0, 1, 2, 3, 4]));
-        let list = [2, 0, 2, 9];
-        assert_eq!(batch(list[..].into()), per_vertex(&list));
-        assert!(batch((1..1).into()).is_empty());
+        // The same contract holds for FrozenView's slice override.
+        let frozen = FrozenView::capture(&g);
+        for view in [&g as &dyn GraphView, &frozen] {
+            let batch = |vertices: Vertices<'_>| {
+                let mut got = Vec::new();
+                view.for_each_adjacency(vertices, &mut |v, nbrs| got.push((v, nbrs.to_vec())));
+                got
+            };
+            let per_vertex = |ids: &[VertexId]| -> Vec<(VertexId, Vec<VertexId>)> {
+                let list = |v| {
+                    let mut out = Vec::new();
+                    view.for_each_neighbor(v, &mut |u| out.push(u));
+                    (v, out)
+                };
+                ids.iter().map(|&v| list(v)).collect()
+            };
+            // Out-of-range ids, up to u64::MAX, get one empty slice each.
+            assert_eq!(batch((0..5).into()), per_vertex(&[0, 1, 2, 3, 4]));
+            let list = [2, 0, 2, 9, u64::MAX - 1, u64::MAX];
+            assert_eq!(batch(list[..].into()), per_vertex(&list));
+            assert!(batch((1..1).into()).is_empty());
+        }
     }
 
     #[test]

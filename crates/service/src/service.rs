@@ -145,8 +145,8 @@ impl RawClient {
 /// Two shapes of the same epoch live side by side: the shard-routed
 /// composite (the incremental-capture unit, and what `Degree`/`Neighbors`
 /// answer from via its per-shard slices) and the [`UnifiedView`] merged
-/// global CSR the analytics queries run their zero-dispatch `*_csr`
-/// kernels over.  The unified CSR is built **lazily**, on the first
+/// global CSR the analytics kernels run over, reading borrowed neighbour
+/// slices.  The unified CSR is built **lazily**, on the first
 /// analytics query of the epoch: write-heavy traffic answering only point
 /// reads never pays the merge.
 struct CachedView {
@@ -483,7 +483,7 @@ impl Inner {
             self.store_pagerank(unified.view_id(), iterations, cache);
             ranks
         } else {
-            analytics::pagerank_csr(&*unified, iterations)
+            analytics::pagerank_parallel(&*unified, iterations)
         }
     }
 
@@ -535,7 +535,7 @@ impl Inner {
         if seeded {
             self.incremental_fallbacks.inc();
         }
-        let labels = analytics::cc_csr(&*unified);
+        let labels = analytics::cc_parallel(&*unified);
         self.store_components(unified.view_id(), labels.clone());
         labels
     }
@@ -662,8 +662,8 @@ impl Inner {
             Query::Metrics => QueryResult::Metrics(Box::new(self.metrics())),
             // Point reads answer from the composite (one shard hash, one
             // slice read — no reason to force a unified merge); the
-            // analytics run the zero-dispatch `*_csr` kernels over the
-            // epoch's unified CSR (merged lazily on the first analytics
+            // analytics kernels read borrowed slices of the epoch's
+            // unified CSR (merged lazily on the first analytics
             // query of the epoch, incrementally across epochs).
             Query::Degree(v) => QueryResult::Degree(self.current_view().degree(v)),
             Query::Neighbors(v) => {
@@ -673,7 +673,7 @@ impl Inner {
                 QueryResult::Pagerank(self.pagerank_ranks(iterations))
             }
             Query::Bfs { source } => {
-                QueryResult::Bfs(analytics::bfs_csr(&*self.current_unified(), source))
+                QueryResult::Bfs(analytics::bfs_parallel(&*self.current_unified(), source))
             }
             Query::ConnectedComponents => QueryResult::ConnectedComponents(self.component_labels()),
             Query::TriangleCount => {
@@ -1609,7 +1609,7 @@ mod tests {
             .expect("frontier histogram registered");
         assert!(frontier.count >= 2, "both kernels recorded a frontier");
         // And the incremental answer matches a fresh full recompute.
-        let fresh = analytics::pagerank_csr(&*service.current_unified(), 20);
+        let fresh = analytics::pagerank_parallel(&*service.current_unified(), 20);
         for (a, b) in incr_pr.iter().zip(&fresh) {
             assert!((a - b).abs() <= 1e-9);
         }

@@ -27,9 +27,9 @@
 //!   the `service` crate serves queries from.
 //! * [`UnifiedView`] — the composite merged into **one global CSR**
 //!   ([`dgap::CsrView`]): a parallel degree-gather → prefix-sum → span-copy
-//!   merge pays the shard routing once, so the zero-dispatch `*_csr`
-//!   analytics kernels run over all shards with no per-vertex hash and no
-//!   per-edge closure.  Refreshes are incremental: the carried
+//!   merge pays the shard routing once, so the analytics kernels run over
+//!   all shards with no per-vertex hash and no per-edge closure: its
+//!   batched read hands out borrowed neighbour slices.  Refreshes are incremental: the carried
 //!   `Arc<FrozenView>`s double as the change signal, and only shards that
 //!   were re-captured get their spans re-merged.
 //!

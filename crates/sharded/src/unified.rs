@@ -44,7 +44,7 @@
 
 use crate::view::OwnedShardedView;
 use dgap::chunks::{ranges as chunk_ranges, SendPtr};
-use dgap::{CsrView, FrozenView, GraphView, VertexId};
+use dgap::{CsrView, FrozenView, GraphView, VertexId, Vertices};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -126,9 +126,9 @@ fn lost_edges(old: &[VertexId], new: &[VertexId]) -> bool {
 
 /// An owned cross-shard snapshot materialised into **one global CSR**.
 ///
-/// Implements [`GraphView`] (so anything generic keeps working) and
-/// [`CsrView`] (so the `analytics` crate's zero-dispatch `*_csr` kernels
-/// run over it).  Build one with [`UnifiedView::unify`]; refresh it
+/// Implements [`GraphView`], whose batched read hands the `analytics`
+/// kernels borrowed neighbour slices, and [`CsrView`] for the CSR-only
+/// kernels.  Build one with [`UnifiedView::unify`]; refresh it
 /// incrementally across epochs with [`UnifiedView::refreshed`].
 pub struct UnifiedView {
     /// `offsets[v] .. offsets[v + 1]` spans `v`'s neighbours in `targets`.
@@ -437,6 +437,12 @@ impl GraphView for UnifiedView {
     fn neighbors(&self, v: VertexId) -> Vec<VertexId> {
         self.neighbor_slice(v).to_vec()
     }
+
+    fn for_each_adjacency(&self, vertices: Vertices<'_>, f: &mut dyn FnMut(VertexId, &[VertexId])) {
+        for v in vertices.iter() {
+            f(v, self.neighbor_slice(v));
+        }
+    }
 }
 
 impl CsrView for UnifiedView {
@@ -650,5 +656,36 @@ mod tests {
         assert_eq!(unified.num_vertices(), owned.num_vertices());
         assert_eq!(GraphView::num_edges(&unified), 0);
         assert!((0..unified.num_vertices() as u64).all(|v| unified.neighbor_slice(v).is_empty()));
+    }
+
+    #[test]
+    fn batched_read_hands_out_the_per_vertex_lists() {
+        let (g, _) = populated(2, 48);
+        let unified = UnifiedView::unify(&g.owned_view());
+        let batch = |vertices: Vertices<'_>| {
+            let mut got = Vec::new();
+            unified.for_each_adjacency(vertices, &mut |v, nbrs| got.push((v, nbrs.to_vec())));
+            got
+        };
+        let per_vertex = |ids: &[VertexId]| -> Vec<(VertexId, Vec<VertexId>)> {
+            let list = |v| {
+                let mut out = Vec::new();
+                unified.for_each_neighbor(v, &mut |u| out.push(u));
+                (v, out)
+            };
+            ids.iter().map(|&v| list(v)).collect()
+        };
+        let n = unified.num_vertices() as u64;
+        let all: Vec<VertexId> = (0..n).collect();
+        assert_eq!(batch((0..n).into()), per_vertex(&all));
+        let repeated = [5, 0, 5, 47, 5];
+        assert_eq!(batch(repeated[..].into()), per_vertex(&repeated));
+        // Out-of-range ids, all the way up to u64::MAX: one call each,
+        // with an empty slice.
+        let outside = [n, 1 << 40, u64::MAX - 1, u64::MAX];
+        let got = batch(outside[..].into());
+        assert_eq!(got, per_vertex(&outside));
+        assert!(got.iter().all(|(_, nbrs)| nbrs.is_empty()));
+        assert!(batch((3..3).into()).is_empty());
     }
 }

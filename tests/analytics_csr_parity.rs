@@ -1,16 +1,18 @@
-//! Zero-dispatch CSR kernels vs the dyn-dispatch kernels vs the oracle.
+//! The parallel kernels over the unified CSR vs the sequential kernels vs
+//! the oracle.
 //!
-//! PR 5 added the `CsrView` capability trait, the `analytics::*_csr`
-//! kernels and the `sharded::UnifiedView` merged cross-shard CSR.  These
-//! tests pin the contract that the fast plane changes *no answers*: on a
-//! deleted-edges graph at 1/2/4 shards, every CSR kernel must agree with
-//! its dyn sibling (PageRank within 1e-12 — in practice bit-identical —
-//! exact BFS distances with valid parents, exact CC labels) and with the
-//! in-memory `ReferenceGraph` oracle; and the unified CSR's incremental
-//! refresh must reuse untouched shards' spans after a single-shard write
-//! burst while producing exactly the CSR a full merge would.
+//! `sharded::UnifiedView` merges every shard into one CSR whose batched
+//! read hands the `analytics::*_parallel` kernels borrowed neighbour
+//! slices.  These tests pin the contract that this fast read changes *no
+//! answers*: on a deleted-edges graph at 1/2/4 shards, every kernel over
+//! the unified CSR must agree with the sequential kernel (PageRank
+//! bit-identical, exact BFS distances with valid parents, exact CC labels)
+//! and with the in-memory `ReferenceGraph` oracle; and the unified CSR's
+//! incremental refresh must reuse untouched shards' spans after a
+//! single-shard write burst while producing exactly the CSR a full merge
+//! would.
 
-use analytics::{bc, bc_csr, bfs, bfs_csr, cc, cc_csr, pagerank, pagerank_csr};
+use analytics::{bc, bc_parallel, bfs, bfs_parallel, cc, cc_parallel, pagerank, pagerank_parallel};
 use dgap::{DynamicGraph, GraphView, ReferenceGraph};
 use pmem::PmemConfig;
 use sharded::{ShardedGraph, UnifiedView};
@@ -65,32 +67,19 @@ fn unified_view_matches_the_oracle_at_every_shard_count() {
 }
 
 #[test]
-fn pagerank_csr_matches_the_dyn_kernel_within_1e12() {
+fn pagerank_over_the_unified_csr_is_bit_identical_to_the_dyn_kernel() {
     for shards in SHARD_COUNTS {
         let (graph, oracle) = deleted_edges_graph(shards);
         let owned = graph.consistent_view_arc();
         let unified = UnifiedView::unify(&owned);
-        // Dyn kernel over the shard-routed composite, CSR kernel over the
-        // unified CSR, sequential oracle run over the reference graph.
+        // Sequential kernel over the shard-routed composite, parallel
+        // kernel over the unified CSR, sequential oracle run over the
+        // reference graph: the same fp ops in the same order.
         let dyn_ranks = pagerank(&*owned, 20);
-        let csr_ranks = pagerank_csr(&unified, 20);
+        let csr_ranks = pagerank_parallel(&unified, 20);
         let oracle_ranks = pagerank(&oracle, 20);
-        assert_eq!(csr_ranks.len(), dyn_ranks.len());
-        for (v, ((c, d), o)) in csr_ranks
-            .iter()
-            .zip(&dyn_ranks)
-            .zip(&oracle_ranks)
-            .enumerate()
-        {
-            assert!(
-                (c - d).abs() < 1e-12,
-                "{shards} shards, vertex {v}: csr {c} vs dyn {d}"
-            );
-            assert!(
-                (c - o).abs() < 1e-12,
-                "{shards} shards, vertex {v}: csr {c} vs oracle {o}"
-            );
-        }
+        assert_eq!(csr_ranks, dyn_ranks, "{shards} shards");
+        assert_eq!(csr_ranks, oracle_ranks, "{shards} shards");
     }
 }
 
@@ -101,7 +90,7 @@ fn bfs_csr_reaches_the_same_distances_with_valid_parents() {
         let unified = UnifiedView::unify(&graph.consistent_view_arc());
         let dyn_parents = bfs(&oracle, 0);
         let dyn_dist = analytics::bfs::distances_from_parents(&oracle, &dyn_parents, 0);
-        let csr_parents = bfs_csr(&unified, 0);
+        let csr_parents = bfs_parallel(&unified, 0);
         let csr_dist = analytics::bfs::distances_from_parents(&unified, &csr_parents, 0);
         assert_eq!(csr_dist, dyn_dist, "{shards} shards");
         // Parent validity: every reached non-source vertex hangs off a
@@ -133,7 +122,7 @@ fn cc_csr_produces_identical_labels() {
     for shards in SHARD_COUNTS {
         let (graph, oracle) = deleted_edges_graph(shards);
         let unified = UnifiedView::unify(&graph.consistent_view_arc());
-        assert_eq!(cc_csr(&unified), cc(&oracle), "{shards} shards");
+        assert_eq!(cc_parallel(&unified), cc(&oracle), "{shards} shards");
     }
 }
 
@@ -142,7 +131,7 @@ fn bc_csr_matches_the_dyn_kernel() {
     let (graph, oracle) = deleted_edges_graph(2);
     let unified = UnifiedView::unify(&graph.consistent_view_arc());
     let dyn_scores = bc(&oracle, 0);
-    let csr_scores = bc_csr(&unified, 0);
+    let csr_scores = bc_parallel(&unified, 0);
     assert_eq!(csr_scores.len(), dyn_scores.len());
     for (v, (c, d)) in csr_scores.iter().zip(&dyn_scores).enumerate() {
         assert!((c - d).abs() < 1e-9, "vertex {v}: csr {c} vs dyn {d}");
@@ -210,10 +199,6 @@ fn unified_refresh_reuses_untouched_spans_after_a_single_shard_burst() {
             "vertex {v}"
         );
     }
-    let csr_ranks = pagerank_csr(&second, 20);
-    let oracle_ranks = pagerank(&oracle, 20);
-    for (v, (c, o)) in csr_ranks.iter().zip(&oracle_ranks).enumerate() {
-        assert!((c - o).abs() < 1e-12, "vertex {v}: {c} vs {o}");
-    }
-    assert_eq!(cc_csr(&second), cc(&oracle));
+    assert_eq!(pagerank_parallel(&second, 20), pagerank(&oracle, 20));
+    assert_eq!(cc_parallel(&second), cc(&oracle));
 }

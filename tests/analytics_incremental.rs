@@ -5,13 +5,13 @@
 //!
 //! The core contract, pinned at 1/2/4 shards across randomized
 //! insert/delete bursts: after **every** epoch the incremental answer
-//! equals the full CSR kernel's answer equals the in-memory
+//! equals the full parallel kernel's answer equals the in-memory
 //! `ReferenceGraph` oracle (PageRank within 1e-9 per vertex, CC labels
 //! exactly).  Deletion epochs additionally pin the declared fallbacks:
 //! incremental CC declines (a lost edge can split a component) while
 //! incremental PageRank absorbs them.
 
-use analytics::{cc, cc_csr, pagerank_csr, pagerank_csr_recording, pagerank_incremental};
+use analytics::{cc, cc_parallel, pagerank_csr_recording, pagerank_incremental, pagerank_parallel};
 use dgap::{DynamicGraph, ReferenceGraph, Update};
 use pmem::PmemConfig;
 use service::{GraphService, Query, QueryResult, ServiceConfig};
@@ -62,7 +62,7 @@ fn incremental_kernels_match_full_and_oracle_across_random_bursts() {
         let (graph, mut oracle) = seeded_graph(shards, 41 + shards as u64);
         let mut unified = UnifiedView::unify(&graph.consistent_view_arc());
         let mut rank_cache = pagerank_csr_recording(&unified, ITERS);
-        let mut labels = cc_csr(&unified);
+        let mut labels = cc_parallel(&unified);
 
         let mut x = 1000 + shards as u64;
         for epoch in 0..6 {
@@ -115,7 +115,7 @@ fn incremental_kernels_match_full_and_oracle_across_random_bursts() {
             // burst deleted edges.
             let run = pagerank_incremental(&next, &rank_cache, delta.changed_vertices())
                 .expect("small burst stays incremental");
-            let full = pagerank_csr(&next, ITERS);
+            let full = pagerank_parallel(&next, ITERS);
             assert_ranks_within(run.cache.ranks(), &full, 1e-9, "incremental vs full");
             let oracle_ranks = analytics::pagerank(&oracle, ITERS);
             assert_ranks_within(&full, &oracle_ranks, 1e-12, "full vs oracle");
@@ -130,7 +130,7 @@ fn incremental_kernels_match_full_and_oracle_across_random_bursts() {
                 delta.changed_vertices(),
                 delta.has_deletions(),
             );
-            labels = cc_csr(&next);
+            labels = cc_parallel(&next);
             assert_eq!(labels, cc(&oracle), "{shards} shards, epoch {epoch}");
             match incr {
                 Some(merged) => {
@@ -236,7 +236,7 @@ fn a_single_shard_burst_advances_the_incremental_hit_counters() {
     assert!(frontier.sum >= 1, "the burst produced a non-empty frontier");
 
     // Parity with a cold full recompute of the same epoch.
-    let full = pagerank_csr(&*service.current_unified(), ITERS);
+    let full = pagerank_parallel(&*service.current_unified(), ITERS);
     assert_ranks_within(&incr, &full, 1e-9, "service incremental vs full");
     service.shutdown();
 }
@@ -273,6 +273,6 @@ fn a_massive_burst_triggers_the_full_kernel_fallback() {
     );
     assert_eq!(snap.counter("analytics_incremental_hits"), Some(0));
     // And the fallback answers are still exact.
-    assert_eq!(labels, cc_csr(&*service.current_unified()));
+    assert_eq!(labels, cc_parallel(&*service.current_unified()));
     service.shutdown();
 }

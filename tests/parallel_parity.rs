@@ -1,25 +1,26 @@
 //! Sequential-vs-parallel parity on a graph with deletions.
 //!
-//! PR 3 replaced the rayon shim's per-call threads with a persistent
-//! work-stealing pool and made `FrozenView::capture` parallel.  These tests
-//! pin the contract that none of that changes *answers*: every `*_parallel`
+//! The kernels run on a persistent work-stealing pool and
+//! `FrozenView::capture` is parallel.  These tests pin the contract that
+//! none of that changes *answers*: every `*_parallel`
 //! kernel must agree with its sequential sibling at 1, 2 and 8 threads, and
 //! the parallel capture must produce byte-identical snapshots to the
 //! sequential baseline — on a graph where tombstones make the resolved
 //! adjacency differ from the raw insert stream.
 //!
-//! The kernels run on a frozen CSR capture and directly on a DGAP
-//! snapshot.  On the latter the parallel kernels read through the batched
-//! `GraphView::for_each_adjacency` path and the sequential oracles through
-//! per-vertex `for_each_neighbor`, so the two read paths are checked
-//! against each other too.
+//! The kernels run on a frozen CSR capture, on the sharded graph's unified
+//! CSR and directly on a DGAP snapshot.  The parallel kernels read through
+//! the batched `GraphView::for_each_adjacency` path (borrowed slices on the
+//! two CSR views, a chunked copy on the DGAP snapshot) and the sequential
+//! oracles through per-vertex `for_each_neighbor`, so the read paths are
+//! checked against each other too.
 
 use analytics::{
     bc, bc_parallel, bfs, bfs_parallel, cc, cc_parallel, pagerank, pagerank_parallel, with_threads,
 };
 use dgap::{Dgap, DgapConfig, DynamicGraph, FrozenView, GraphView, SnapshotSource};
 use pmem::{PmemConfig, PmemPool};
-use sharded::ShardedGraph;
+use sharded::{ShardedGraph, UnifiedView};
 use std::sync::Arc;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -70,11 +71,15 @@ fn deleted_edges_dgap() -> Dgap {
     graph
 }
 
-/// Run `check` on both kinds of view the parallel kernels must agree on:
-/// a frozen CSR capture of the sharded graph and a live DGAP snapshot.
-fn on_both_views(check: impl Fn(&dyn GraphView, &str)) {
-    let frozen = FrozenView::capture(&deleted_edges_graph().consistent_view());
+/// Run `check` on every kind of view the parallel kernels must agree on:
+/// a frozen CSR capture of the sharded graph, the sharded graph's unified
+/// CSR, and a live DGAP snapshot.
+fn on_every_view(check: impl Fn(&dyn GraphView, &str)) {
+    let sharded = deleted_edges_graph();
+    let frozen = FrozenView::capture(&sharded.consistent_view());
     check(&frozen, "frozen");
+    let unified = UnifiedView::unify(&sharded.consistent_view_arc());
+    check(&unified, "unified");
     let dgap = deleted_edges_dgap();
     check(&dgap.consistent_view(), "dgap");
 }
@@ -96,24 +101,22 @@ fn frozen_capture_parallel_matches_sequential_with_deletions() {
 
 #[test]
 fn pagerank_parallel_matches_sequential_at_every_thread_count() {
-    on_both_views(|view, what| {
+    on_every_view(|view, what| {
         let reference = pagerank(&view, 20);
         for threads in THREAD_COUNTS {
+            // Same fp ops in the same order: bit-identical on every view.
             let ranks = with_threads(threads, || pagerank_parallel(&view, 20));
-            assert_eq!(ranks.len(), reference.len());
-            for (v, (a, b)) in ranks.iter().zip(&reference).enumerate() {
-                assert!(
-                    (a - b).abs() < 1e-6,
-                    "{what}: rank of vertex {v} diverged at {threads} threads: {a} vs {b}"
-                );
-            }
+            assert_eq!(
+                ranks, reference,
+                "{what}: ranks diverged at {threads} threads"
+            );
         }
     });
 }
 
 #[test]
 fn bfs_parallel_matches_sequential_at_every_thread_count() {
-    on_both_views(|view, what| {
+    on_every_view(|view, what| {
         let seq_parents = bfs(&view, 0);
         let seq_dist = analytics::bfs::distances_from_parents(&view, &seq_parents, 0);
         for threads in THREAD_COUNTS {
@@ -128,7 +131,7 @@ fn bfs_parallel_matches_sequential_at_every_thread_count() {
 
 #[test]
 fn cc_parallel_matches_sequential_at_every_thread_count() {
-    on_both_views(|view, what| {
+    on_every_view(|view, what| {
         let seq_labels = cc(&view);
         for threads in THREAD_COUNTS {
             let labels = with_threads(threads, || cc_parallel(&view));
@@ -142,7 +145,7 @@ fn cc_parallel_matches_sequential_at_every_thread_count() {
 
 #[test]
 fn bc_parallel_matches_sequential_at_every_thread_count() {
-    on_both_views(|view, what| {
+    on_every_view(|view, what| {
         let reference = bc(&view, 0);
         for threads in THREAD_COUNTS {
             let scores = with_threads(threads, || bc_parallel(&view, 0));
